@@ -63,8 +63,10 @@ from .strata import (
     enumerate_strata,
     enumerate_stratum_indices,
     flag_dimension,
+    matrix_flag_term,
     matrix_to_multiplicity_system,
     moduli_dimension,
+    point_systems,
     stratum_dimension,
     weight_subsets,
 )

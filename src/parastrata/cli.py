@@ -107,17 +107,18 @@ def parse_point(doc, path: str) -> pb.PointWeights:
         raise ValidationError(path, str(exc)) from exc
 
 
-def parse_point_list(doc, path: str, rank: int | None) -> dict[str, pb.PointWeights]:
+def parse_ranked_point(doc, path: str, rank: int) -> pb.PointWeights:
+    pw = parse_point(doc, path)
+    if pw.total_multiplicity() != rank:
+        raise ValidationError(
+            f"{path}.mults", f"multiplicities sum to {pw.total_multiplicity()}, expected rank {rank}"
+        )
+    return pw
+
+
+def parse_point_list(doc, path: str, rank: int) -> dict[str, pb.PointWeights]:
     arr = expect_array(doc, path)
-    points = {}
-    for i, entry in enumerate(arr):
-        pw = parse_point(entry, f"{path}[{i}]")
-        if rank is not None and pw.total_multiplicity() != rank:
-            raise ValidationError(
-                f"{path}[{i}].mults", f"multiplicities sum to {pw.total_multiplicity()}, expected rank {rank}"
-            )
-        points[f"p{i + 1}"] = pw
-    return points
+    return {f"p{i + 1}": parse_ranked_point(entry, f"{path}[{i}]", rank) for i, entry in enumerate(arr)}
 
 
 def echo_point(pw: pb.PointWeights) -> dict:
@@ -219,43 +220,26 @@ def _parse_strata_common(payload) -> tuple[dict, st.ModuliSpec, int]:
 
 def cmd_strata(payload) -> tuple[dict, dict]:
     echo, spec, d = _parse_strata_common(payload)
-    q = spec.rank // d
     per_point = []
     num_indices = 1
     num_systems = 1
     for pid, pw in spec.points:
-        subs = st.weight_subsets(pw, q)
-        indices = []
-        count = 0
-        for t in itertools.product(subs, repeat=d):
-            mats = list(st.enumerate_matrices(t, pw, spec.rank, d))
-            count += len(mats)
-            indices.append(
-                {
-                    "subsets": [[frac_str(pw.weights[k]) for k in sub] for sub in t],
-                    "matrices": [
-                        {
-                            "entries": [list(row) for row in mat.entries],
-                            "flag_term": sum(
-                                st.flag_dimension([v for v in row if v]) if any(row) else 0
-                                for row in mat.entries
-                            ),
-                        }
-                        for mat in mats
-                    ],
-                }
-            )
-        num_indices *= len(subs) ** d
-        num_systems *= count
-        per_point.append(
+        point = echo_point(pw)
+        labels = point["weights"]
+        indices = [
             {
-                "point": pid,
-                "weights": [frac_str(w) for w in pw.weights],
-                "mults": list(pw.multiplicities),
-                "subset_count": len(subs),
-                "indices": indices,
+                "subsets": [[labels[k] for k in sub] for sub in t],
+                "matrices": [
+                    {"entries": [list(row) for row in mat.entries], "flag_term": st.matrix_flag_term(mat)}
+                    for mat in mats
+                ],
             }
-        )
+            for t, mats in st.point_systems(pw, spec.rank, d)
+        ]
+        num_indices *= len(indices)
+        num_systems *= sum(len(index["matrices"]) for index in indices)
+        subset_count = len(st.weight_subsets(pw, spec.rank // d))
+        per_point.append({"point": pid, **point, "subset_count": subset_count, "indices": indices})
     result = {
         "num_indices": num_indices,
         "num_systems": num_systems,
@@ -337,15 +321,16 @@ def cmd_codim_sweep(payload) -> list[dict]:
     for g in gs:
         if g < 2:
             raise ValidationError("$.g", "genus values must be >= 2")
+    plan = []
+    for r in rs:
+        divs = [d for d in range(2, r + 1) if r % d == 0]
+        d_list = [d for d in (ds or divs) if d in divs]
+        if d_list:
+            plan.append((r, d_list, [{}, *_sweep_systems(r, max_points, max_len)]))
     lines = []
     for g in gs:
-        for r in rs:
-            divs = [d for d in range(2, r + 1) if r % d == 0]
-            d_list = [d for d in (ds or divs) if d in divs]
+        for r, d_list, systems in plan:
             for d in d_list:
-                systems = [{}] if max_points == 0 else [{}] + list(
-                    _sweep_systems(r, max_points, max_len)
-                )
                 for points in systems:
                     spec = st.ModuliSpec.of(g, r, points)
                     report = st.codim_report(spec, d)
@@ -384,15 +369,7 @@ def cmd_pushforward(payload) -> tuple[dict, dict]:
     rank = expect_int(ddoc["rank"], "$.datum.rank", minimum=1)
     deg = expect_int(ddoc["degree"], "$.datum.degree")
     pdoc = expect_object(ddoc["points"], "$.datum.points")
-    points = {}
-    for pid, pnt in pdoc.items():
-        pw = parse_point(pnt, f"$.datum.points.{pid}")
-        if pw.total_multiplicity() != rank:
-            raise ValidationError(
-                f"$.datum.points.{pid}.mults",
-                f"multiplicities sum to {pw.total_multiplicity()}, expected rank {rank}",
-            )
-        points[pid] = pw
+    points = {pid: parse_ranked_point(pnt, f"$.datum.points.{pid}", rank) for pid, pnt in pdoc.items()}
     try:
         datum = pb.ParabolicDatum.of(rank, deg, points)
         pushed = cover_mod.pushforward(cov, datum)
@@ -448,15 +425,8 @@ def cmd_descend(payload, convention: str) -> tuple[dict, dict]:
     }
     fibers = []
     for j, (pw, dim) in enumerate(zip(res.fiber_weights, res.eigen_dims), start=1):
-        fibers.append(
-            {
-                "fiber": j,
-                "eigenvalue_exponent": j % order,
-                "dim": dim,
-                "weights": [frac_str(w) for w in pw.weights] if pw else [],
-                "mults": list(pw.multiplicities) if pw else [],
-            }
-        )
+        point = echo_point(pw) if pw else {"weights": [], "mults": []}
+        fibers.append({"fiber": j, "eigenvalue_exponent": j % order, "dim": dim, **point})
     result = {
         "fibers": fibers,
         "matrix": [list(row) for row in res.matrix.entries],
@@ -613,6 +583,17 @@ Input is a JSON document on stdin unless --input is given.  Exit codes:
 """
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValueError(f"duplicate object key {key!r}")
+            seen.add(key)
+    return obj
+
+
 def run_command(argv, stdin: bytes = b"") -> tuple[int, bytes, bytes]:
     """Run one CLI invocation; returns (exit status, stdout, stderr)."""
     try:
@@ -631,8 +612,10 @@ def run_command(argv, stdin: bytes = b"") -> tuple[int, bytes, bytes]:
         else:
             raw = stdin
         try:
-            payload = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            payload = json.loads(raw.decode("utf-8"), object_pairs_hook=_unique_keys)
+        except (ValueError, RecursionError) as exc:
+            # ValueError covers malformed text and encoding, integer
+            # literals past the int-to-str digit limit and duplicate keys
             return 2, b"", f"error: invalid JSON input: {exc}\n".encode()
 
         if sub == "codim" and opts["sweep"]:

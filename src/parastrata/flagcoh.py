@@ -9,6 +9,7 @@ here have cohomology in even degrees only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -218,9 +219,7 @@ def _component_order(fam: str, n: int) -> int:
     mat = ExactMatrix.from_rows(RATIONALS, [[Fraction(cm[j][i]) for j in range(n)] for i in range(n)])
     x = solve(mat, [Fraction(1)] * n)
     assert x is not None
-    lcm = 1
-    for c in x:
-        lcm = lcm * c.denominator // _gcd(lcm, c.denominator)
+    lcm = math.lcm(*(c.denominator for c in x))
     start = tuple(int(c * lcm) for c in x)
     # reflection s_i in root coordinates touches only coordinate i
     columns = [[(j, cm[j][i]) for j in range(n) if cm[j][i]] for i in range(n)]
@@ -238,12 +237,6 @@ def _component_order(fam: str, n: int) -> int:
         frontier = nxt
     _BFS_CACHE[key] = len(seen)
     return len(seen)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def weyl_bfs_order(t: CartanType) -> int:

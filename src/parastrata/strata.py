@@ -19,60 +19,27 @@ from .parabolic import ParabolicDatum, PointWeights
 
 
 @dataclass(frozen=True)
-class ModuliSpec:
-    """Genus, rank, determinant-degree class and per-point weight data."""
+class ModuliSpec(ParabolicDatum):
+    """A parabolic datum plus the genus; ``degree`` is the degree of the
+    fixed determinant."""
 
     genus: int
-    rank: int
-    xi_degree: int
-    delta: int
-    points: tuple[tuple[str, PointWeights], ...]
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if not isinstance(self.genus, int) or self.genus < 2:
             raise ValueError("genus must be an integer >= 2")
-        if not isinstance(self.rank, int) or self.rank < 1:
-            raise ValueError("rank must be a positive integer")
-        if not isinstance(self.xi_degree, int):
-            raise ValueError("determinant degree must be an integer")
-        if self.delta != self.xi_degree % self.rank:
-            raise ValueError("delta must equal the determinant degree mod the rank")
-        prev = None
-        seen = set()
-        for pid, pw in self.points:
-            if pid in seen or (prev is not None and pid < prev):
-                raise ValueError("points must be sorted with distinct ids")
-            seen.add(pid)
-            prev = pid
-            if pw.total_multiplicity() != self.rank:
-                raise ValueError(
-                    f"multiplicities at {pid!r} sum to {pw.total_multiplicity()}, expected rank {self.rank}"
-                )
 
     @staticmethod
     def of(
-        genus: int,
-        rank: int,
-        points: Mapping[str, PointWeights],
-        xi_degree: int = 0,
-        delta: int | None = None,
+        genus: int, rank: int, points: Mapping[str, PointWeights], xi_degree: int = 0
     ) -> "ModuliSpec":
-        if delta is None:
-            delta = xi_degree % rank
-        return ModuliSpec(genus, rank, xi_degree, delta, tuple(sorted(points.items())))
+        return ModuliSpec(rank, xi_degree, tuple(sorted(points.items())), genus)
 
     @property
-    def point_ids(self) -> tuple[str, ...]:
-        return tuple(pid for pid, _ in self.points)
-
-    def weights_at(self, pid: str) -> PointWeights:
-        for q, pw in self.points:
-            if q == pid:
-                return pw
-        raise KeyError(pid)
-
-    def datum(self, degree: int = 0) -> ParabolicDatum:
-        return ParabolicDatum.of(self.rank, degree, dict(self.points))
+    def delta(self) -> int:
+        """The determinant degree modulo the rank."""
+        return self.degree % self.rank
 
 
 @dataclass(frozen=True)
@@ -86,10 +53,6 @@ class StratumIndex:
             if q == pid:
                 return subs
         raise KeyError(pid)
-
-    @property
-    def point_ids(self) -> tuple[str, ...]:
-        return tuple(pid for pid, _ in self.entries)
 
 
 @dataclass(frozen=True)
@@ -242,6 +205,16 @@ def enumerate_matrices(
     yield from rec(0)
 
 
+def point_systems(
+    pw: PointWeights, r: int, d: int
+) -> Iterator[tuple[tuple[tuple[int, ...], ...], Iterator[MultiplicityMatrix]]]:
+    """Per subset d-tuple at one point, in lexicographic order, the tuple
+    and a lazy iterator over its matrices (`enumerate_matrices`)."""
+    subs = weight_subsets(pw, _check_cover_degree(r, d))
+    for t in itertools.product(subs, repeat=d):
+        yield t, enumerate_matrices(t, pw, r, d)
+
+
 def matrix_to_multiplicity_system(
     mat: MultiplicityMatrix, weights: PointWeights
 ) -> tuple[PointWeights, ...]:
@@ -285,9 +258,10 @@ def moduli_dimension(spec: ModuliSpec) -> int:
     return total
 
 
-def _row_flag_term(row: Sequence[int]) -> int:
-    kept = [v for v in row if v]
-    return flag_dimension(kept) if kept else 0
+def matrix_flag_term(mat: MultiplicityMatrix) -> int:
+    """Sum over the rows of the flag dimension of their positive entries:
+    one point's contribution to the dimension of its stratum."""
+    return sum(flag_dimension([v for v in row if v]) for row in mat.entries)
 
 
 def _check_matrix_margins(mat: MultiplicityMatrix, pw: PointWeights, q: int, d: int) -> None:
@@ -313,8 +287,7 @@ def stratum_dimension(
     for pid, pw in spec.points:
         mat = mats[pid]
         _check_matrix_margins(mat, pw, q, d)
-        for row in mat.entries:
-            total += _row_flag_term(row)
+        total += matrix_flag_term(mat)
     return total
 
 
@@ -324,18 +297,11 @@ def enumerate_strata(
     """All (index, matrix system) pairs, lazily; indices whose matrix
     collection is empty at some point are skipped."""
     for t in enumerate_stratum_indices(spec, d):
-        per_point = []
-        empty = False
-        for pid, pw in spec.points:
-            mats = list(enumerate_matrices(t.subsets_at(pid), pw, spec.rank, d))
-            if not mats:
-                empty = True
-                break
-            per_point.append((pid, mats))
-        if empty:
-            continue
-        for combo in itertools.product(*(mats for _, mats in per_point)):
-            yield t, {pid: mat for (pid, _), mat in zip(per_point, combo)}
+        per_point = [
+            list(enumerate_matrices(t.subsets_at(pid), pw, spec.rank, d)) for pid, pw in spec.points
+        ]
+        for combo in itertools.product(*per_point):
+            yield t, dict(zip(spec.point_ids, combo))
 
 
 @dataclass(frozen=True)
@@ -363,7 +329,7 @@ def codim_report(spec: ModuliSpec, d: int) -> CodimReport:
     dimension is assembled from per-point maxima; the stratum count is
     the product of the per-point counts.
     """
-    q = _check_cover_degree(spec.rank, d)
+    _check_cover_degree(spec.rank, d)
     g, r = spec.genus, spec.rank
     dim_m = moduli_dimension(spec)
     base = (g - 1) * (r**2 // d - 1)
@@ -372,17 +338,18 @@ def codim_report(spec: ModuliSpec, d: int) -> CodimReport:
     num_systems = 1
     point_maxima: list[int] = []
     nonempty = True
-    for pid, pw in spec.points:
-        subs = weight_subsets(pw, q)
-        num_indices *= len(subs) ** d
+    for _, pw in spec.points:
+        tuples = 0
         count = 0
         best: int | None = None
-        for t in itertools.product(subs, repeat=d):
-            for mat in enumerate_matrices(t, pw, r, d):
+        for _, mats in point_systems(pw, r, d):
+            tuples += 1
+            for mat in mats:
                 count += 1
-                term = sum(_row_flag_term(row) for row in mat.entries)
+                term = matrix_flag_term(mat)
                 if best is None or term > best:
                     best = term
+        num_indices *= tuples
         num_systems *= count
         if best is None:
             nonempty = False

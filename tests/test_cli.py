@@ -1,5 +1,7 @@
 import json
+from fractions import Fraction
 
+from parastrata import ModuliSpec, MultiplicityMatrix, PointWeights, codim_report, stratum_dimension
 from parastrata.cli import run_command
 
 
@@ -110,6 +112,31 @@ def test_strata_subcommand():
     assert len(nonempty) == 2
 
 
+def test_strata_flag_terms_match_stratum_dimension():
+    """Every listed flag term is the point's share of the library's
+    stratum dimension, and the counts are codim_report's."""
+    for r in (2, 3, 4):
+        for mults in [(r,)] + [(a, r - a) for a in range(1, r)]:
+            weights = [Fraction(k, len(mults) + 1) for k in range(1, len(mults) + 1)]
+            spec_points = {"p1": PointWeights.of(weights, mults)}
+            for g in (2, 3):
+                for d in [d for d in range(2, r + 1) if r % d == 0]:
+                    point = {"weights": [str(w) for w in weights], "mults": list(mults)}
+                    payload = {"g": g, "r": r, "d": d, "points": [point]}
+                    res = result_of(["strata"], payload)["result"]
+                    spec = ModuliSpec.of(g, r, spec_points)
+                    base = (g - 1) * (r * r // d - 1)
+                    listed = 0
+                    for index in res["per_point"][0]["indices"]:
+                        for mat in index["matrices"]:
+                            entries = MultiplicityMatrix(tuple(tuple(row) for row in mat["entries"]))
+                            assert mat["flag_term"] == stratum_dimension(spec, d, {"p1": entries}) - base
+                            listed += 1
+                    rep = codim_report(spec, d)
+                    assert (res["num_indices"], res["num_systems"]) == (rep.num_indices, rep.num_systems)
+                    assert listed == rep.num_systems
+
+
 def test_reports_are_deterministic():
     for argv, payload in [
         (["codim"], CODIM_EXAMPLE),
@@ -190,6 +217,19 @@ def test_validation_failures_exit_two_with_clean_stdout():
 def test_malformed_json_exits_two():
     code, out, err = run_command(["dim"], b"{not json")
     assert code == 2 and out == b""
+    huge = b"1" * 5001  # past the int-to-str digit limit
+    deep = b"[" * 100000 + b"]" * 100000
+    for raw in [b"\xff{}", huge, b'{"g": ' + huge + b', "r": 2, "points": []}', deep]:
+        code, out, err = run_command(["dim"], raw)
+        assert code == 2 and out == b"", (raw[:20], err)
+        assert err.startswith(b"error: invalid JSON input"), err
+    for raw, key in [
+        (b'{"g": 2, "g": 3, "r": 2, "points": []}', b"'g'"),
+        (b'{"g": 2, "r": 2, "points": [{"weights": ["1/4"], "mults": [2], "mults": [2]}]}', b"'mults'"),
+    ]:
+        code, out, err = run_command(["dim"], raw)
+        assert code == 2 and out == b""
+        assert err.startswith(b"error: invalid JSON input") and key in err, err
 
 
 def test_unknown_subcommand_and_options():

@@ -17,6 +17,7 @@ from parastrata import (
     flag_dimension,
     matrix_to_multiplicity_system,
     moduli_dimension,
+    point_systems,
     pushforward,
     stratum_dimension,
     weight_subsets,
@@ -90,6 +91,8 @@ def test_index_enumeration_requires_divisibility():
     spec = ModuliSpec.of(2, 3, {"p": pw(["1/3"], [3])})
     with pytest.raises(ValueError):
         list(enumerate_stratum_indices(spec, 2))
+    with pytest.raises(ValueError):
+        list(point_systems(spec.weights_at("p"), 3, 2))
 
 
 def test_multi_point_indices_are_products():
@@ -325,3 +328,47 @@ def test_codim_report_delta_carried():
     assert spec.delta == 2
     # dimensions do not depend on the determinant degree
     assert codim_report(spec, 2) == codim_report(ModuliSpec.of(2, 4, {"p": PW42}), 2)
+
+    for rank in (1, 2, 3, 4, 6):
+        for xi_degree in (-7, -1, 0, 1, 5, 12):
+            spec = ModuliSpec.of(2, rank, {"p": pw(["1/3"], [rank])}, xi_degree=xi_degree)
+            assert (spec.degree, spec.delta) == (xi_degree, xi_degree % rank)
+
+
+# --- the moduli spec is a parabolic datum ------------------------------------------------
+
+
+def test_moduli_spec_is_a_parabolic_datum():
+    single = pw(["1/3"], [2])
+    spec = ModuliSpec.of(3, 2, {"b": PW2, "a": single}, xi_degree=1)
+    assert isinstance(spec, ParabolicDatum)
+    assert (spec.genus, spec.rank, spec.degree) == (3, 2, 1)
+    assert spec.points == (("a", single), ("b", PW2))
+    assert spec.weights_at("b") == PW2
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        (1, 2, {"p": PW2}),  # genus below 2
+        (0, 2, {}),
+        (2, 3, {"p": PW2}),  # multiplicities sum to 2, not the rank 3
+        (2, 2.0, {}),  # non-integer rank
+        (2, 0, {}),
+    ],
+)
+def test_moduli_spec_rejects_invalid_data(args):
+    with pytest.raises(ValueError):
+        ModuliSpec.of(*args)
+
+
+# --- the per-point survey -----------------------------------------------------------------
+
+
+def test_point_systems_lists_every_subset_tuple():
+    for pw_, r, d in [(PW2, 2, 2), (PW42, 4, 2), (pw(["1/5", "2/5", "3/5"], [2, 2, 2]), 6, 3)]:
+        subs = weight_subsets(pw_, r // d)
+        got = [(t, [m.entries for m in mats]) for t, mats in point_systems(pw_, r, d)]
+        assert [t for t, _ in got] == list(itertools.product(subs, repeat=d))
+        for t, mats in got:
+            assert mats == [m.entries for m in enumerate_matrices(t, pw_, r, d)]
