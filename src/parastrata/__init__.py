@@ -63,6 +63,7 @@ from .strata import (
     enumerate_strata,
     enumerate_stratum_indices,
     flag_dimension,
+    margin_tables,
     matrix_flag_term,
     matrix_to_multiplicity_system,
     moduli_dimension,

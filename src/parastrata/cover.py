@@ -24,7 +24,7 @@ class CoverSpec:
     fibers: tuple[tuple[str, tuple[str, ...]], ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.degree, int) or self.degree < 1:
+        if not isinstance(self.degree, int) or isinstance(self.degree, bool) or self.degree < 1:
             raise ValueError("cover degree must be a positive integer")
         seen_base: set[str] = set()
         seen_fiber: set[str] = set()
@@ -59,12 +59,6 @@ class CoverSpec:
     @property
     def fiber_points(self) -> tuple[str, ...]:
         return tuple(q for _, fib in self.fibers for q in fib)
-
-    def fiber(self, base: str) -> tuple[str, ...]:
-        for b, fib in self.fibers:
-            if b == base:
-                return fib
-        raise KeyError(base)
 
 
 def covering_genus(base_genus: int, degree: int) -> int:

@@ -28,11 +28,12 @@ Vector = tuple
 
 
 def _span_contains(field, basis_rows: Sequence[Vector], vectors: Sequence[Vector]) -> bool:
+    """Whether the vectors lie in the span of `basis_rows`, which must
+    already be a canonical (reduced echelon) basis."""
     if not vectors:
         return True
-    canon = reduced_row_basis(field, basis_rows)
-    extended = reduced_row_basis(field, list(canon) + list(vectors))
-    return len(extended) == len(canon)
+    extended = reduced_row_basis(field, list(basis_rows) + list(vectors))
+    return len(extended) == len(basis_rows)
 
 
 def _intersect(field, rows_a: Sequence[Vector], rows_b: Sequence[Vector], n: int) -> tuple[Vector, ...]:
@@ -201,9 +202,6 @@ class NestedEigenbasis:
     exact eigenvector tagged with its root-of-unity eigenvalue."""
 
     levels: tuple[tuple[EigenVector, ...], ...]
-
-    def level_count(self, level: int, exponent: int) -> int:
-        return sum(1 for ev in self.levels[level] if ev.exponent == exponent)
 
 
 def _check_preserves_flag(phi: FlagAutomorphism, flag: WeightedFlag) -> None:

@@ -511,10 +511,6 @@ class ExactMatrix:
     def column(self, j: int) -> tuple:
         return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
 
-    def transpose(self) -> "ExactMatrix":
-        ents = [self.entry(i, j) for j in range(self.cols) for i in range(self.rows)]
-        return ExactMatrix(self.field, self.cols, self.rows, ents)
-
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
         self._same_shape(other)
         return ExactMatrix(

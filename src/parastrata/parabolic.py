@@ -43,7 +43,7 @@ class PointWeights:
     @staticmethod
     def of(weights, mults) -> "PointWeights":
         ws = [Fraction(w) for w in weights]
-        ms = [int(m) for m in mults]
+        ms = list(mults)
         if len(ws) != len(ms):
             raise ValueError("weights and multiplicities differ in length")
         return PointWeights(tuple(zip(ws, ms)))
@@ -90,9 +90,9 @@ class ParabolicDatum:
     points: tuple[tuple[str, PointWeights], ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.rank, int) or self.rank < 1:
+        if not isinstance(self.rank, int) or isinstance(self.rank, bool) or self.rank < 1:
             raise ValueError("rank must be a positive integer")
-        if not isinstance(self.degree, int):
+        if not isinstance(self.degree, int) or isinstance(self.degree, bool):
             raise ValueError("degree must be an integer")
         seen = set()
         prev = None

@@ -48,12 +48,6 @@ class StratumIndex:
 
     entries: tuple[tuple[str, tuple[tuple[int, ...], ...]], ...]
 
-    def subsets_at(self, pid: str) -> tuple[tuple[int, ...], ...]:
-        for q, subs in self.entries:
-            if q == pid:
-                return subs
-        raise KeyError(pid)
-
 
 @dataclass(frozen=True)
 class MultiplicityMatrix:
@@ -126,6 +120,37 @@ def enumerate_stratum_indices(spec: ModuliSpec, d: int) -> Iterator[StratumIndex
         yield StratumIndex(tuple(combo))
 
 
+def margin_tables(mults: Sequence[int], q: int, d: int) -> Iterator[MultiplicityMatrix]:
+    """Every d x l table of non-negative integers whose rows sum to q and
+    whose k-th column sums to mults[k], in lexicographic row-major order.
+
+    Each row is filled column by column, entries 0 upward, bounded by the
+    remaining column sums and by what the row still needs.  Because
+    sum(mults) = d q, the columns left after any completed rows can
+    always be filled (north-west-corner rule), so only a row's last
+    column needs a check: it must absorb the rest of the row.
+    """
+    width = len(mults)
+    if sum(mults) != d * q:
+        raise ValueError(f"multiplicities sum to {sum(mults)}, expected {d} * {q}")
+    col_rem = list(mults)
+    table = [[0] * width for _ in range(d)]
+
+    def fill(j: int, k: int, need: int) -> Iterator[MultiplicityMatrix]:
+        for v in range(need if k == width - 1 else 0, min(col_rem[k], need) + 1):
+            table[j][k] = v
+            col_rem[k] -= v
+            if k < width - 1:
+                yield from fill(j, k + 1, need - v)
+            elif j < d - 1:
+                yield from fill(j + 1, 0, q)
+            else:
+                yield MultiplicityMatrix(tuple(map(tuple, table)))
+            col_rem[k] += v
+
+    yield from fill(0, 0, q)
+
+
 def enumerate_matrices(
     t_point: Sequence[tuple[int, ...]],
     m: PointWeights,
@@ -136,14 +161,13 @@ def enumerate_matrices(
 
     Conditions: entry (j, k) is nonzero exactly when k lies in the j-th
     subset; each row sums to r/d; column k sums to the k-th
-    multiplicity.  Backtracks row by row with running margin bounds;
-    rows are emitted in lexicographic (row-major) order.  The result
-    may be empty.
+    multiplicity.  These are the `margin_tables` whose row supports are
+    the subsets, in the same lexicographic (row-major) order.  The
+    result may be empty.
     """
     q = _check_cover_degree(r, d)
     width = m.length
-    mults = m.multiplicities
-    supports = [tuple(sorted(set(s))) for s in t_point]
+    supports = tuple(tuple(sorted(set(s))) for s in t_point)
     if len(supports) != d:
         raise ValueError(f"expected {d} subsets, got {len(supports)}")
     for s in supports:
@@ -154,65 +178,26 @@ def enumerate_matrices(
         for k in s:
             if not (0 <= k < width):
                 raise ValueError(f"weight index {k} out of range")
-
-    col_rem = list(mults)
-
-    def margins_ok(next_row: int) -> bool:
-        # each later row must place >= 1 on its support and can place at
-        # most q - |support| + 1 on any single column
-        lo = [0] * width
-        hi = [0] * width
-        for j in range(next_row, d):
-            cap = q - len(supports[j]) + 1
-            for k in supports[j]:
-                lo[k] += 1
-                hi[k] += cap
-        for k in range(width):
-            if not (lo[k] <= col_rem[k] <= hi[k]):
-                return False
-        return True
-
-    def fill_row(support: tuple[int, ...], pos: int, remaining: int, row: list[int]):
-        if pos == len(support):
-            if remaining == 0:
-                yield tuple(row)
-            return
-        k = support[pos]
-        tail = len(support) - pos - 1
-        top = min(col_rem[k], remaining - tail)
-        for v in range(1, top + 1):
-            row[k] = v
-            yield from fill_row(support, pos + 1, remaining - v, row)
-        row[k] = 0
-
-    rows_acc: list[tuple[int, ...]] = []
-
-    def rec(j: int) -> Iterator[MultiplicityMatrix]:
-        if j == d:
-            if all(v == 0 for v in col_rem):
-                yield MultiplicityMatrix(tuple(rows_acc))
-            return
-        for row in fill_row(supports[j], 0, q, [0] * width):
-            for k in supports[j]:
-                col_rem[k] -= row[k]
-            rows_acc.append(row)
-            if margins_ok(j + 1):
-                yield from rec(j + 1)
-            rows_acc.pop()
-            for k in supports[j]:
-                col_rem[k] += row[k]
-
-    yield from rec(0)
+    for mat in margin_tables(m.multiplicities, q, d):
+        if mat.supports() == supports:
+            yield mat
 
 
 def point_systems(
     pw: PointWeights, r: int, d: int
-) -> Iterator[tuple[tuple[tuple[int, ...], ...], Iterator[MultiplicityMatrix]]]:
+) -> Iterator[tuple[tuple[tuple[int, ...], ...], list[MultiplicityMatrix]]]:
     """Per subset d-tuple at one point, in lexicographic order, the tuple
-    and a lazy iterator over its matrices (`enumerate_matrices`)."""
-    subs = weight_subsets(pw, _check_cover_degree(r, d))
-    for t in itertools.product(subs, repeat=d):
-        yield t, enumerate_matrices(t, pw, r, d)
+    and the list of its matrices, which may be empty.
+
+    The row supports of a margin table have size <= r/d and so form one
+    of the tuples: the tables are enumerated once and grouped by support.
+    """
+    q = _check_cover_degree(r, d)
+    by_support: dict[tuple[tuple[int, ...], ...], list[MultiplicityMatrix]] = {}
+    for mat in margin_tables(pw.multiplicities, q, d):
+        by_support.setdefault(mat.supports(), []).append(mat)
+    for t in itertools.product(weight_subsets(pw, q), repeat=d):
+        yield t, by_support.get(t, [])
 
 
 def matrix_to_multiplicity_system(
@@ -296,10 +281,9 @@ def enumerate_strata(
 ) -> Iterator[tuple[StratumIndex, dict[str, MultiplicityMatrix]]]:
     """All (index, matrix system) pairs, lazily; indices whose matrix
     collection is empty at some point are skipped."""
+    systems = [dict(point_systems(pw, spec.rank, d)) for _, pw in spec.points]
     for t in enumerate_stratum_indices(spec, d):
-        per_point = [
-            list(enumerate_matrices(t.subsets_at(pid), pw, spec.rank, d)) for pid, pw in spec.points
-        ]
+        per_point = [by_tuple[subs] for by_tuple, (_, subs) in zip(systems, t.entries)]
         for combo in itertools.product(*per_point):
             yield t, dict(zip(spec.point_ids, combo))
 
@@ -314,8 +298,8 @@ class CodimReport:
     dim_moduli: int
     num_indices: int
     num_systems: int
-    max_stratum_dim: int | None
-    codim: int | None
+    max_stratum_dim: int
+    codim: int
     bound: Fraction
     meets_bound: bool
     codim_at_least_three: bool
@@ -327,41 +311,26 @@ def codim_report(spec: ModuliSpec, d: int) -> CodimReport:
 
     The per-point contributions are independent, so the maximum stratum
     dimension is assembled from per-point maxima; the stratum count is
-    the product of the per-point counts.
+    the product of the per-point counts.  Every point has a margin table
+    (north-west-corner rule), so both are always defined.
     """
-    _check_cover_degree(spec.rank, d)
+    q = _check_cover_degree(spec.rank, d)
     g, r = spec.genus, spec.rank
     dim_m = moduli_dimension(spec)
-    base = (g - 1) * (r**2 // d - 1)
-
     num_indices = 1
     num_systems = 1
-    point_maxima: list[int] = []
-    nonempty = True
+    max_dim = (g - 1) * (r**2 // d - 1)
     for _, pw in spec.points:
-        tuples = 0
         count = 0
-        best: int | None = None
-        for _, mats in point_systems(pw, r, d):
-            tuples += 1
-            for mat in mats:
-                count += 1
-                term = matrix_flag_term(mat)
-                if best is None or term > best:
-                    best = term
-        num_indices *= tuples
+        best = 0
+        for mat in margin_tables(pw.multiplicities, q, d):
+            count += 1
+            best = max(best, matrix_flag_term(mat))
+        num_indices *= len(weight_subsets(pw, q)) ** d
         num_systems *= count
-        if best is None:
-            nonempty = False
-        else:
-            point_maxima.append(best)
+        max_dim += best
 
     bound = Fraction(r * r * (g - 1) * (d - 1), d)
-    if not nonempty:
-        return CodimReport(
-            g, r, d, dim_m, num_indices, 0, None, None, bound, True, True
-        )
-    max_dim = base + sum(point_maxima)
     codim = dim_m - max_dim
     return CodimReport(
         genus=g,

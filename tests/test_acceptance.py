@@ -5,11 +5,13 @@ one pass/fail line."""
 import functools
 import itertools
 import json
+import os
 import random
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 from parastrata import (
     CartanType,
@@ -352,11 +354,18 @@ DOCUMENTED_EXAMPLES = [
 ]
 
 
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
 def run_cli(argv, payload):
+    # pytest's `pythonpath` setting reaches only its own process
+    inherited = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": SRC + (os.pathsep + inherited if inherited else "")}
     proc = subprocess.run(
         [sys.executable, "-m", "parastrata", *argv],
         input=json.dumps(payload).encode(),
         capture_output=True,
+        env=env,
     )
     return proc.returncode, proc.stdout, proc.stderr
 

@@ -103,6 +103,8 @@ def test_cover_validation():
         CoverSpec.of(2, {"p": ["q1", "q1"]})  # repeated fiber point
     with pytest.raises(ValueError):
         CoverSpec.of(2, {"p": ["q1", "q2"], "s": ["q2", "q3"]})  # shared fiber point
+    with pytest.raises(ValueError):
+        CoverSpec.of(True, {"p": ["q"]})  # bool degree
 
 
 def test_point_set_mismatch_rejected():

@@ -86,6 +86,10 @@ def test_point_weights_validation():
         pw(["1"], [1])  # weight at 1
     with pytest.raises(ValueError):
         pw(["1/2"], [0])  # zero multiplicity
+    with pytest.raises(ValueError):
+        PointWeights.of(["1/4"], [2.7])  # non-integer multiplicity
+    with pytest.raises(ValueError):
+        PointWeights.of(["1/4"], ["2"])
     # weight zero is allowed
     assert pw(["0", "1/2"], [1, 1]).weights[0] == 0
 
@@ -93,6 +97,10 @@ def test_point_weights_validation():
 def test_datum_multiplicity_sum_checked():
     with pytest.raises(ValueError):
         ParabolicDatum.of(3, 0, {"p": pw(["1/2"], [2])})
+    with pytest.raises(ValueError):
+        ParabolicDatum.of(True, 0, {})  # bool rank
+    with pytest.raises(ValueError):
+        ParabolicDatum.of(1, False, {})  # bool degree
 
 
 # --- genericity ------------------------------------------------------------------

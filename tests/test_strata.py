@@ -15,6 +15,7 @@ from parastrata import (
     enumerate_strata,
     enumerate_stratum_indices,
     flag_dimension,
+    margin_tables,
     matrix_to_multiplicity_system,
     moduli_dimension,
     point_systems,
@@ -317,10 +318,7 @@ def test_codim_report_agrees_with_direct_enumeration():
                 count += 1
                 dims.append(stratum_dimension(spec, d, mats))
             assert count == rep.num_systems
-            if dims:
-                assert max(dims) == rep.max_stratum_dim
-            else:
-                assert rep.max_stratum_dim is None
+            assert max(dims) == rep.max_stratum_dim
 
 
 def test_codim_report_delta_carried():
@@ -355,6 +353,8 @@ def test_moduli_spec_is_a_parabolic_datum():
         (2, 3, {"p": PW2}),  # multiplicities sum to 2, not the rank 3
         (2, 2.0, {}),  # non-integer rank
         (2, 0, {}),
+        (2, True, {}),  # bool rank
+        (2, 1, {}, False),  # bool determinant degree
     ],
 )
 def test_moduli_spec_rejects_invalid_data(args):
@@ -372,3 +372,26 @@ def test_point_systems_lists_every_subset_tuple():
         assert [t for t, _ in got] == list(itertools.product(subs, repeat=d))
         for t, mats in got:
             assert mats == [m.entries for m in enumerate_matrices(t, pw_, r, d)]
+
+
+def test_margin_tables_match_oracle_on_acceptance_grid():
+    # every per-point key (m, r/d, d) of the acceptance sweep; the flag
+    # term of a row v summing to q is (q^2 - sum v^2) / 2
+    keys = 0
+    for r in (2, 3, 4, 6):
+        for d in (d for d in range(2, r + 1) if r % d == 0):
+            q = r // d
+            for width in (1, 2, 3):
+                for mults in itertools.product(range(1, r + 1), repeat=width):
+                    if sum(mults) != r:
+                        continue
+                    expected = brute_force_margin_matrices(mults, r, d)
+                    assert [m.entries for m in margin_tables(mults, q, d)] == expected, (mults, d)
+                    point = PointWeights.of([Fraction(k, width + 1) for k in range(1, width + 1)], mults)
+                    rep = codim_report(ModuliSpec.of(2, r, {"p": point}), d)
+                    assert rep.num_systems == len(expected)
+                    assert rep.num_indices == len(weight_subsets(point, q)) ** d
+                    best = max(sum(q * q - sum(v * v for v in row) for row in m) // 2 for m in expected)
+                    assert rep.max_stratum_dim == r * r // d - 1 + best
+                    keys += 1
+    assert keys == 68
