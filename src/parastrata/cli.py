@@ -21,7 +21,7 @@ from . import eigenflag as ef
 from . import flagcoh as fc
 from . import parabolic as pb
 from . import strata as st
-from .exact import cyclotomic_field
+from .exact import cyclotomic_field, divisors
 
 VERSION = "parastrata/1.0"
 
@@ -129,7 +129,9 @@ def echo_point(pw: pb.PointWeights) -> dict:
 
 
 def echo_points(points: dict[str, pb.PointWeights]) -> list[dict]:
-    return [echo_point(points[pid]) for pid in sorted(points)]
+    """Echo a point list in input order, so that feeding it back assigns
+    the same ids (sorted ids would put p10 before p2)."""
+    return [echo_point(pw) for pw in points.values()]
 
 
 def parse_scalar(x, path: str, field):
@@ -144,10 +146,9 @@ def parse_scalar(x, path: str, field):
 
 
 def scalar_json(value) -> object:
-    coeffs = value.coeffs
     if value.is_rational():
         return frac_str(value.rational_value())
-    return [frac_str(c) for c in coeffs]
+    return [frac_str(c) for c in value.coeffs]
 
 
 def parse_matrix(doc, path: str, field) -> list[list]:
@@ -323,7 +324,7 @@ def cmd_codim_sweep(payload) -> list[dict]:
             raise ValidationError("$.g", "genus values must be >= 2")
     plan = []
     for r in rs:
-        divs = [d for d in range(2, r + 1) if r % d == 0]
+        divs = divisors(r)[1:] if r > 0 else []
         d_list = [d for d in (ds or divs) if d in divs]
         if d_list:
             plan.append((r, d_list, [{}, *_sweep_systems(r, max_points, max_len)]))

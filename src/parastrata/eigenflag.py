@@ -20,6 +20,7 @@ from .exact import (
     cyclotomic_field,
     kernel,
     reduced_row_basis,
+    rref,
 )
 from .parabolic import PointWeights
 from .strata import MultiplicityMatrix
@@ -60,30 +61,13 @@ def _intersect(field, rows_a: Sequence[Vector], rows_b: Sequence[Vector], n: int
 
 def _extend_basis(field, inner: Sequence[Vector], outer_basis: Sequence[Vector]) -> list[Vector]:
     """Extend a basis of a subspace to one of an enclosing space by
-    greedily taking rows of the enclosing space's canonical basis."""
-    echelon: list[list] = []
-
-    def absorb(v: Vector) -> bool:
-        w = list(v)
-        for row in echelon:
-            p = next(i for i, e in enumerate(row) if e)
-            if w[p]:
-                f = w[p]
-                w = [a - f * b for a, b in zip(w, row)]
-        for i, e in enumerate(w):
-            if e:
-                echelon.append([x / e for x in w])
-                return True
-        return False
-
-    out = list(inner)
-    for v in inner:
-        if not absorb(v):
-            raise ValueError("inner vectors are not independent")
-    for v in outer_basis:
-        if absorb(v):
-            out.append(v)
-    return out
+    greedily taking rows of the enclosing space's canonical basis: the
+    pivot columns of the vectors set side by side, inner ones first."""
+    vectors = list(inner) + list(outer_basis)
+    pivots = rref(ExactMatrix.from_rows(field, zip(*vectors)))[1]
+    if pivots[: len(inner)] != tuple(range(len(inner))):
+        raise ValueError("inner vectors are not independent")
+    return [vectors[p] for p in pivots]
 
 
 class WeightedFlag:

@@ -8,11 +8,13 @@ Three scalar domains, all immutable and arbitrary precision:
   modulo the d-th cyclotomic polynomial in the power basis
   1, x, ..., x^(phi(d)-1).
 
-``ExactMatrix`` carries a rectangular block of scalars from a single
-field (the rationals or one Q(zeta_d)); the elimination routines
-(``rref``, ``rank``, ``kernel``, ``solve``, ``inverse``) work uniformly
-over either.  Pivoting is leftmost-first and pivots are normalized to
-one, so every output is deterministic.  No floating point anywhere.
+``ExactMatrix`` carries a rectangular block of scalars from one
+``CyclotomicField``; the rationals are ``RATIONALS = cyclotomic_field(1)``,
+whose elements equal and hash like the ``Fraction`` they hold.  The
+elimination routines (``rref``, ``rank``, ``kernel``, ``solve``,
+``inverse``) share one row reducer.  Pivoting is leftmost-first and
+pivots are normalized to one, so every output is deterministic.  No
+floating point anywhere.
 """
 
 from __future__ import annotations
@@ -431,31 +433,7 @@ def cyclotomic_field(order: int) -> CyclotomicField:
     return CyclotomicField(order)
 
 
-class RationalField:
-    """The rationals, as a field tag for ``ExactMatrix``."""
-
-    __slots__ = ()
-    zero = Fraction(0)
-    one = Fraction(1)
-
-    def coerce(self, value) -> Fraction:
-        if isinstance(value, bool):
-            raise TypeError("boolean is not a scalar")
-        if isinstance(value, (int, Fraction)):
-            return Fraction(value)
-        raise TypeError(f"cannot coerce {value!r} into the rationals")
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, RationalField)
-
-    def __hash__(self) -> int:
-        return hash("rationals")
-
-    def __repr__(self) -> str:
-        return "QQ"
-
-
-RATIONALS = RationalField()
+RATIONALS = cyclotomic_field(1)
 
 
 # ---------------------------------------------------------------------------
@@ -629,7 +607,8 @@ def _rref_in_place(field, rows: list[list]) -> list[int]:
         rows[r], rows[sel] = rows[sel], rows[r]
         piv = rows[r][c]
         if piv != field.one:
-            rows[r] = [e / piv for e in rows[r]]
+            inv = piv.inverse()
+            rows[r] = [e * inv for e in rows[r]]
         for i in range(len(rows)):
             if i != r and rows[i][c]:
                 f = rows[i][c]

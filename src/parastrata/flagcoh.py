@@ -9,12 +9,11 @@ here have cohomology in even degrees only.
 
 from __future__ import annotations
 
-import math
+import functools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
-from .exact import RATIONALS, ExactMatrix, IntPolynomial, solve
+from .exact import IntPolynomial
 
 _RANK_RULES = {
     "A": lambda n: n >= 1,
@@ -206,42 +205,30 @@ def cartan_matrix(fam: str, n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in mat)
 
 
-_BFS_CACHE: dict[tuple[str, int], int] = {}
-
-
+@functools.lru_cache(maxsize=None)
 def _component_order(fam: str, n: int) -> int:
-    key = (fam, n)
-    if key in _BFS_CACHE:
-        return _BFS_CACHE[key]
     cm = cartan_matrix(fam, n)
-    # a strictly dominant rational vector in simple-root coordinates:
-    # solve sum_j x_j C[j][i] = 1 for all i, then clear denominators
-    mat = ExactMatrix.from_rows(RATIONALS, [[Fraction(cm[j][i]) for j in range(n)] for i in range(n)])
-    x = solve(mat, [Fraction(1)] * n)
-    assert x is not None
-    lcm = math.lcm(*(c.denominator for c in x))
-    start = tuple(int(c * lcm) for c in x)
-    # reflection s_i in root coordinates touches only coordinate i
-    columns = [[(j, cm[j][i]) for j in range(n) if cm[j][i]] for i in range(n)]
+    # rho = (1, ..., 1) is regular; s_i subtracts lam_i times alpha_i,
+    # whose fundamental-weight coordinates are row i of the Cartan matrix
+    start = (1,) * n
     seen = {start}
     frontier = [start]
     while frontier:
         nxt = []
-        for v in frontier:
+        for lam in frontier:
             for i in range(n):
-                pairing = sum(c * v[j] for j, c in columns[i])
-                w = v[:i] + (v[i] - pairing,) + v[i + 1 :]
+                w = tuple(lam[j] - lam[i] * cm[i][j] for j in range(n))
                 if w not in seen:
                     seen.add(w)
                     nxt.append(w)
         frontier = nxt
-    _BFS_CACHE[key] = len(seen)
     return len(seen)
 
 
 def weyl_bfs_order(t: CartanType) -> int:
-    """Weyl group order by breadth-first closure of the orbit of a
-    regular vector under the simple reflections, in root coordinates.
+    """Weyl group order by breadth-first closure of the orbit of the
+    regular weight rho under the simple reflections, in fundamental-weight
+    coordinates.
 
     Independent of the fundamental-degree tables; guarded to total rank
     at most 6.

@@ -37,6 +37,12 @@ DESCEND_EXAMPLE = {
 }
 FLAGCOH_EXAMPLE = {"type": [["A", 2]], "parabolics": [[1], [2]]}
 STRATA_EXAMPLE = {"g": 2, "r": 2, "d": 2, "points": [{"weights": ["1/4", "1/2"], "mults": [1, 1]}]}
+# eleven distinct points: sorted ids would put p10 and p11 before p2
+ELEVEN_POINTS_DIM = {"g": 2, "r": 2, "points": [{"weights": [f"{i}/13"], "mults": [2]} for i in range(1, 12)]}
+ELEVEN_POINTS_STRATA = {
+    "g": 2, "r": 2, "d": 2,
+    "points": [{"weights": [f"{i}/13", "12/13"], "mults": [1, 1]} for i in range(1, 12)],
+}
 
 
 def test_codim_documented_example():
@@ -159,10 +165,15 @@ def test_echo_roundtrip_is_idempotent():
         (["pushforward"], PUSH_EXAMPLE),
         (["descend"], DESCEND_EXAMPLE),
         (["flagcoh"], FLAGCOH_EXAMPLE),
+        (["strata"], STRATA_EXAMPLE),
+        (["dim"], ELEVEN_POINTS_DIM),
+        (["strata"], ELEVEN_POINTS_STRATA),
     ]:
         code, out, _ = run_json(argv, payload)
         assert code == 0
         echoed = json.loads(out.decode())["input"]
+        if "points" in payload:
+            assert echoed["points"] == payload["points"]
         code2, out2, _ = run_json(argv, echoed)
         assert code2 == 0
         assert out2 == out
@@ -193,6 +204,14 @@ def test_sweep_mode_streams_reports():
     for line in lines:
         rec = json.loads(line)
         assert rec["meets_bound"] is True
+
+
+def test_sweep_skips_ranks_without_proper_divisors():
+    base = {"g": [2], "max_points": 1, "max_flag_length": 2}
+    _, out, _ = run_json(["codim", "--sweep"], {**base, "r": [2]})
+    code, out2, err = run_json(["codim", "--sweep"], {**base, "r": [-3, 0, 1, 2]})
+    assert code == 0, err
+    assert out2 == out
 
 
 def test_validation_failures_exit_two_with_clean_stdout():

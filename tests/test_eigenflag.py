@@ -19,6 +19,7 @@ from parastrata import (
     reduced_row_basis,
 )
 
+from parastrata.eigenflag import _extend_basis
 from util import random_flag_automorphism
 
 
@@ -221,6 +222,43 @@ def test_morphism_dimension_mismatch():
         check_parabolic_morphism(flag, flag, wide, "strict")
     with pytest.raises(ValueError):
         check_parabolic_morphism(flag, flag, ExactMatrix.identity(flag.field, 2), "sloppy")
+
+
+# --- basis extension ---------------------------------------------------------------
+
+
+def greedy_extension(field, inner, outer):
+    """Oracle: keep an outer vector when it enlarges the span so far."""
+    out = list(inner)
+    for v in outer:
+        if len(reduced_row_basis(field, out + [v])) > len(out):
+            out.append(v)
+    return out
+
+
+def test_extend_basis_matches_greedy_oracle():
+    rng = random.Random(41)
+    for order in (1, 3):
+        field = cyclotomic_field(order)
+
+        def vector(n):
+            return tuple(field.element([rng.choice([-1, 0, 0, 1, 2]) for _ in range(field.degree)])
+                         for _ in range(n))
+
+        for _ in range(60):
+            n = rng.randint(1, 4)
+            inner = reduced_row_basis(field, [vector(n) for _ in range(rng.randint(0, n))])
+            outer = [vector(n) for _ in range(rng.randint(0, n + 1))]
+            # dependent outer vectors: repeats and sums of earlier ones
+            if outer:
+                outer.append(rng.choice(outer))
+                outer.append(tuple(a + b for a, b in zip(rng.choice(outer), rng.choice(list(inner) + outer))))
+            rng.shuffle(outer)
+            assert _extend_basis(field, inner, outer) == greedy_extension(field, inner, outer)
+            if inner:
+                dependent = list(inner) + [tuple(c * 2 for c in inner[0])]
+                with pytest.raises(ValueError):
+                    _extend_basis(field, dependent, outer)
 
 
 # --- randomized structure and round trip ---------------------------------------------

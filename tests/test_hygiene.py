@@ -1,0 +1,40 @@
+"""Source hygiene of the library: no runtime dependencies beyond the
+standard library, and no floating point."""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "parastrata").glob("*.py"))
+
+
+def parsed(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def test_sources_found():
+    assert {p.name for p in SOURCES} >= {"exact.py", "cli.py", "flagcoh.py"}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_imports_are_relative_or_stdlib(path):
+    for node in ast.walk(parsed(path)):
+        if isinstance(node, ast.Import):
+            roots = [alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            roots = [node.module.split(".")[0]]
+        else:
+            continue
+        for root in roots:
+            assert root in sys.stdlib_module_names, f"{path.name}:{node.lineno} imports {root}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_floating_point(path):
+    for node in ast.walk(parsed(path)):
+        if isinstance(node, ast.Constant):
+            assert not isinstance(node.value, (float, complex)), f"{path.name}:{node.lineno} float literal"
+        if isinstance(node, ast.Name):
+            assert node.id != "float", f"{path.name}:{node.lineno} uses float"
