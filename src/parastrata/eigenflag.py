@@ -10,6 +10,7 @@ basis.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
@@ -21,6 +22,7 @@ from .exact import (
     kernel,
     reduced_row_basis,
     rref,
+    to_fraction,
 )
 from .parabolic import PointWeights
 from .strata import MultiplicityMatrix
@@ -31,8 +33,6 @@ Vector = tuple
 def _span_contains(field, basis_rows: Sequence[Vector], vectors: Sequence[Vector]) -> bool:
     """Whether the vectors lie in the span of `basis_rows`, which must
     already be a canonical (reduced echelon) basis."""
-    if not vectors:
-        return True
     extended = reduced_row_basis(field, list(basis_rows) + list(vectors))
     return len(extended) == len(basis_rows)
 
@@ -83,7 +83,7 @@ class WeightedFlag:
     def __init__(self, field_order: int, subspaces: Sequence[ExactMatrix], weights: Sequence[Fraction]):
         field = cyclotomic_field(field_order)
         subspaces = tuple(subspaces)
-        weights = tuple(Fraction(w) for w in weights)
+        weights = tuple(to_fraction(w) for w in weights)
         if not subspaces:
             raise ValueError("a flag needs at least one subspace")
         if len(weights) != len(subspaces):
@@ -149,9 +149,13 @@ class WeightedFlag:
 
 
 class FlagAutomorphism:
-    """Square matrix over Q(zeta_d) whose d-th power is the identity."""
+    """Square matrix over Q(zeta_d) whose d-th power is the identity,
+    carried with ``eigenspaces[e]``, the canonical basis of its zeta_d**e
+    eigenspace.  They are its order check: x**d - 1 has d distinct roots
+    in characteristic 0, so phi**d = 1 exactly when they span the space.
+    """
 
-    __slots__ = ("matrix", "order")
+    __slots__ = ("matrix", "order", "eigenspaces")
 
     def __init__(self, matrix: ExactMatrix, order: int):
         if matrix.rows != matrix.cols:
@@ -159,7 +163,9 @@ class FlagAutomorphism:
         field = cyclotomic_field(order)
         if matrix.field != field:
             raise ValueError("matrix must live over the order-d cyclotomic field")
-        if not (matrix**order).is_identity():
+        ident = ExactMatrix.identity(field, matrix.rows)
+        self.eigenspaces = tuple(kernel(matrix - ident.scaled(field.zeta(e))) for e in range(order))
+        if sum(map(len, self.eigenspaces)) != matrix.rows:
             raise ValueError(f"matrix to the power {order} is not the identity")
         self.matrix = matrix
         self.order = order
@@ -188,19 +194,6 @@ class NestedEigenbasis:
     levels: tuple[tuple[EigenVector, ...], ...]
 
 
-def _check_preserves_flag(phi: FlagAutomorphism, flag: WeightedFlag) -> None:
-    if flag.field_order != phi.order:
-        raise ValueError("flag and automorphism must share the same field order")
-    if phi.dimension != flag.ambient_dim:
-        raise ValueError("automorphism dimension does not match the flag")
-    field = flag.field
-    for level in range(flag.length):
-        basis = flag.canonical_basis(level)
-        images = [phi.matrix.apply(v) for v in basis]
-        if not _span_contains(field, basis, images):
-            raise ValueError("automorphism does not preserve the flag")
-
-
 def nested_eigenbasis(phi: FlagAutomorphism, flag: WeightedFlag) -> NestedEigenbasis:
     """Eigenvector bases of every flag subspace, nested bottom-up.
 
@@ -208,32 +201,31 @@ def nested_eigenbasis(phi: FlagAutomorphism, flag: WeightedFlag) -> NestedEigenb
     eigenvalue the basis of the intersection with the next subspace is
     extended deterministically through the chain.  Output order: by
     eigenvalue exponent, then deepest-level vectors first.
+
+    phi is diagonalizable, so it preserves a subspace exactly when the
+    eigenvectors inside the subspace span it, i.e. when the subspace's
+    intersections with the eigenspaces have dimensions summing to its
+    own; a flag failing this at some level is rejected.
     """
-    _check_preserves_flag(phi, flag)
+    if flag.field_order != phi.order:
+        raise ValueError("flag and automorphism must share the same field order")
+    if phi.dimension != flag.ambient_dim:
+        raise ValueError("automorphism dimension does not match the flag")
     field = flag.field
-    d = phi.order
     n = flag.ambient_dim
     ell = flag.length
-    ident = ExactMatrix.identity(field, n)
     levels: list[list[EigenVector]] = [[] for _ in range(ell)]
-    total = 0
-    for exp in range(d):
-        zeta = field.zeta(exp)
-        eig = kernel(phi.matrix - ident.scaled(zeta))
+    for exp, eig in enumerate(phi.eigenspaces):
         if not eig:
             continue
-        total += len(eig)
-        inter: list[tuple[Vector, ...]] = [eig]
-        for level in range(1, ell):
-            inter.append(_intersect(field, eig, flag.canonical_basis(level), n))
-        chain: list[list[Vector]] = [[] for _ in range(ell)]
-        chain[ell - 1] = list(inter[ell - 1])
-        for level in range(ell - 2, -1, -1):
-            chain[level] = _extend_basis(field, chain[level + 1], inter[level])
-        for level in range(ell):
-            levels[level].extend(EigenVector(v, exp, zeta) for v in chain[level])
-    if total != n or any(len(levels[i]) != flag.dims[i] for i in range(ell)):
-        raise ValueError("automorphism is not semisimple on the flag")
+        zeta = field.zeta(exp)
+        chain: list[Vector] = []
+        for level in range(ell - 1, -1, -1):
+            inter = _intersect(field, eig, flag.canonical_basis(level), n) if level else eig
+            chain = _extend_basis(field, chain, inter) if chain else list(inter)
+            levels[level].extend(EigenVector(v, exp, zeta) for v in chain)
+    if any(len(levels[i]) != flag.dims[i] for i in range(ell)):
+        raise ValueError("automorphism does not preserve the flag")
     return NestedEigenbasis(tuple(tuple(lv) for lv in levels))
 
 
@@ -257,19 +249,15 @@ def descend(phi: FlagAutomorphism, flag: WeightedFlag, d: int) -> DescentResult:
         raise ValueError("descent degree must equal the automorphism order")
     neb = nested_eigenbasis(phi, flag)
     ell = flag.length
-    counts: dict[int, list[int]] = {}
-    for level in range(ell):
-        for ev in neb.levels[level]:
-            counts.setdefault(ev.exponent, [0] * (ell + 1))[level] += 1
+    counts = Counter((ev.exponent, level) for level, vecs in enumerate(neb.levels) for ev in vecs)
     fibers: list[PointWeights | None] = []
     dims: list[int] = []
     rows: list[tuple[int, ...]] = []
     for j in range(1, d + 1):
         exp = j % d
-        per_level = counts.get(exp, [0] * (ell + 1))
-        row = tuple(per_level[k] - per_level[k + 1] for k in range(ell))
+        row = tuple(counts[exp, k] - counts[exp, k + 1] for k in range(ell))
         rows.append(row)
-        dims.append(per_level[0])
+        dims.append(counts[exp, 0])
         kept = [(flag.weights[k], row[k]) for k in range(ell) if row[k]]
         fibers.append(PointWeights(tuple(kept)) if kept else None)
     return DescentResult(tuple(fibers), tuple(dims), MultiplicityMatrix(tuple(rows)))

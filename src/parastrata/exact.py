@@ -20,8 +20,16 @@ floating point anywhere.
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
+
+
+def to_fraction(x) -> Fraction:
+    """``Fraction(x)``, refusing binary floats: ``Fraction(0.1)`` is not 1/10."""
+    if isinstance(x, numbers.Real) and not isinstance(x, numbers.Rational):
+        raise TypeError(f"inexact number {x!r}: pass an int, a Fraction or a string")
+    return Fraction(x)
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +407,7 @@ class CyclotomicField:
         return Cyclotomic(self, tuple(c[:k]))
 
     def from_rational(self, x) -> Cyclotomic:
-        return self.element([Fraction(x)])
+        return self.element([to_fraction(x)])
 
     def zeta(self, power: int = 1) -> Cyclotomic:
         """zeta_d ** power, with zeta_d a fixed primitive d-th root of unity."""

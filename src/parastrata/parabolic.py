@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
+from .exact import to_fraction
+
 
 @dataclass(frozen=True)
 class PointWeights:
@@ -42,7 +44,7 @@ class PointWeights:
 
     @staticmethod
     def of(weights, mults) -> "PointWeights":
-        ws = [Fraction(w) for w in weights]
+        ws = [to_fraction(w) for w in weights]
         ms = list(mults)
         if len(ws) != len(ms):
             raise ValueError("weights and multiplicities differ in length")

@@ -233,6 +233,22 @@ def test_validation_failures_exit_two_with_clean_stdout():
         assert err.startswith(b"error: ")
 
 
+def test_descend_error_messages_are_exact():
+    whole = {"weights": ["1/4"], "subspaces": [[["1", "0"], ["0", "1"]]]}
+    line = {"weights": ["1/4", "1/2"], "subspaces": [[["1", "0"], ["0", "1"]], [["1", "0"]]]}
+    swap = [["0", "1"], ["1", "0"]]
+    cases = [
+        ({"order": 2, "automorphism": swap, "flag": line},
+         b"error: $: automorphism does not preserve the flag\n"),
+        ({"order": 2, "automorphism": [["1", "1"], ["0", "1"]], "flag": whole},
+         b"error: $: matrix to the power 2 is not the identity\n"),
+        ({"order": 3, "automorphism": swap, "flag": whole},
+         b"error: $: matrix to the power 3 is not the identity\n"),
+    ]
+    for payload, message in cases:
+        assert run_json(["descend"], payload) == (2, b"", message)
+
+
 def test_malformed_json_exits_two():
     code, out, err = run_command(["dim"], b"{not json")
     assert code == 2 and out == b""

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from parastrata import (
     cyclotomic_field,
     descend,
     fixed_point_shape,
+    inverse,
     nested_eigenbasis,
     pushforward,
     pushforward_point,
@@ -20,7 +22,7 @@ from parastrata import (
 )
 
 from parastrata.eigenflag import _extend_basis
-from util import random_flag_automorphism
+from util import random_flag_automorphism, random_invertible, random_weights
 
 
 def swap_flag():
@@ -98,8 +100,49 @@ def test_nested_eigenbasis_rejects_non_invariant_flag():
         [[[1, 0], [0, 1]], [[1, 0]]],  # span{(1,0)} is not swap-invariant
         [Fraction(1, 4), Fraction(1, 2)],
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^automorphism does not preserve the flag$"):
         nested_eigenbasis(phi, flag)
+
+
+def test_weighted_flag_rejects_float_weights():
+    with pytest.raises(TypeError):
+        WeightedFlag.of(1, [[[1]]], [0.3])
+    assert WeightedFlag.of(1, [[[1]]], ["3/10"]).weights == (Fraction(3, 10),)
+
+
+def preserves_flag(phi, subspaces):
+    """Oracle: phi preserves each subspace when adding its images to a
+    spanning set does not enlarge the span."""
+    field = phi.matrix.field
+    for rows in subspaces:
+        images = [phi.matrix.apply(v) for v in rows]
+        if len(reduced_row_basis(field, list(rows) + images)) > len(reduced_row_basis(field, rows)):
+            return False
+    return True
+
+
+def test_flag_preservation_matches_span_oracle():
+    rng = random.Random(31)
+    outcomes = set()
+    for i in range(120):
+        d = 1 + i % 6
+        r = 1 + (i // 6) % 4
+        phi, _ = random_flag_automorphism(rng, r, d)
+        field = phi.matrix.field
+        # mostly not invariant: nested prefixes of random integer rows
+        q = random_invertible(rng, field, r, -2, 2)
+        length = rng.randint(1, min(3, r))
+        dims = [r] + sorted(rng.sample(range(1, r), length - 1), reverse=True)
+        subspaces = [[q.row(s) for s in range(k)] for k in dims]
+        flag = WeightedFlag.of(d, subspaces, random_weights(rng, length))
+        invariant = preserves_flag(phi, subspaces)
+        outcomes.add(invariant)
+        if invariant:
+            assert_valid_nested_eigenbasis(phi, flag, nested_eigenbasis(phi, flag))
+        else:
+            with pytest.raises(ValueError, match="^automorphism does not preserve the flag$"):
+                nested_eigenbasis(phi, flag)
+    assert outcomes == {True, False}
 
 
 def test_automorphism_order_checked():
@@ -107,6 +150,55 @@ def test_automorphism_order_checked():
         FlagAutomorphism.of(2, [[1, 1], [0, 1]])  # unipotent, not order 2
     with pytest.raises(ValueError):
         FlagAutomorphism.of(3, [[0, 1], [1, 0]])  # order 2, not 3
+
+
+def order_check_candidates(rng, field, n):
+    """Conjugates of diagonal matrices of order dividing d, conjugates of
+    zeta^e I + N (not diagonalizable once n >= 2), every permutation
+    matrix, and random small matrices."""
+    d = field.order
+    for _ in range(3):
+        p = random_invertible(rng, field, n)
+        exps = [rng.randrange(d) for _ in range(n)]
+        diag = [[field.zeta(exps[i]) if i == j else 0 for j in range(n)] for i in range(n)]
+        yield p * ExactMatrix.from_rows(field, diag) * inverse(p)
+        e = rng.randrange(d)
+        # zeta^e I + N with N strictly upper triangular and N[0][n-1] != 0
+        jordan = [
+            [field.zeta(e) if i == j else rng.choice([-1, 1, 2]) if (i, j) == (0, n - 1)
+             else rng.randint(-2, 2) if j > i else 0 for j in range(n)]
+            for i in range(n)
+        ]
+        yield p * ExactMatrix.from_rows(field, jordan) * inverse(p)
+    for perm in itertools.permutations(range(n)):
+        yield ExactMatrix.from_rows(field, [[int(perm[i] == j) for j in range(n)] for i in range(n)])
+    for _ in range(4):
+        yield ExactMatrix.from_rows(field, [[rng.randint(-1, 1) for _ in range(n)] for _ in range(n)])
+
+
+def test_automorphism_order_check_matches_power_oracle():
+    """FlagAutomorphism(m, d) accepts m exactly when m**d is the identity,
+    and then carries the canonical bases of its d eigenspaces."""
+    rng = random.Random(23)
+    outcomes = set()
+    for d in range(1, 7):
+        field = cyclotomic_field(d)
+        for n in range(1, 4):
+            for m in order_check_candidates(rng, field, n):
+                expected = (m**d).is_identity()
+                outcomes.add(expected)
+                if not expected:
+                    with pytest.raises(ValueError, match=f"^matrix to the power {d} is not the identity$"):
+                        FlagAutomorphism(m, d)
+                    continue
+                phi = FlagAutomorphism(m, d)
+                assert len(phi.eigenspaces) == d
+                assert sum(len(eig) for eig in phi.eigenspaces) == n
+                for e, eig in enumerate(phi.eigenspaces):
+                    assert reduced_row_basis(field, eig) == eig
+                    for v in eig:
+                        assert m.apply(v) == tuple(field.zeta(e) * c for c in v)
+    assert outcomes == {True, False}
 
 
 # --- descent ---------------------------------------------------------------------

@@ -158,6 +158,13 @@ def test_order_mismatch_rejected():
         a + b
 
 
+def test_from_rational_rejects_floats():
+    for order in (1, 3):
+        with pytest.raises(TypeError):
+            cyclotomic_field(order).from_rational(0.5)
+    assert cyclotomic_field(1).from_rational("1/2") == Fraction(1, 2)
+
+
 def test_inversion_of_zero_rejected():
     with pytest.raises(ZeroDivisionError):
         cyclotomic_field(6).zero.inverse()

@@ -2,12 +2,14 @@
 standard library, and no floating point."""
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "parastrata").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "parastrata").glob("*.py"))
 
 
 def parsed(path):
@@ -38,3 +40,11 @@ def test_no_floating_point(path):
             assert not isinstance(node.value, (float, complex)), f"{path.name}:{node.lineno} float literal"
         if isinstance(node, ast.Name):
             assert node.id != "float", f"{path.name}:{node.lineno} uses float"
+
+
+def test_benchmark_tracer_installs():
+    """The benchmark's tracer wraps library functions and methods by
+    name; renaming one of them must fail here, not only in a traced run."""
+    code = "import sys; sys.path[:0] = ['src', 'perfbench']; import tracing; tracing.install(tracing.Tracer())"
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

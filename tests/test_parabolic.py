@@ -94,6 +94,12 @@ def test_point_weights_validation():
     assert pw(["0", "1/2"], [1, 1]).weights[0] == 0
 
 
+def test_point_weights_reject_float_weights():
+    with pytest.raises(TypeError):
+        PointWeights.of([0.1], [1])
+    assert PointWeights.of(["1/10"], [1]).weights == (Fraction(1, 10),)
+
+
 def test_datum_multiplicity_sum_checked():
     with pytest.raises(ValueError):
         ParabolicDatum.of(3, 0, {"p": pw(["1/2"], [2])})
