@@ -67,6 +67,7 @@ from .strata import (
     matrix_flag_term,
     matrix_to_multiplicity_system,
     moduli_dimension,
+    point_survey,
     point_systems,
     stratum_dimension,
     weight_subsets,

@@ -319,12 +319,13 @@ def cmd_codim_sweep(payload) -> list[dict]:
     ds = _parse_range(doc["d"], "$.d") if "d" in doc and doc["d"] is not None else None
     max_points = expect_int(doc.get("max_points", 2), "$.max_points", minimum=0)
     max_len = expect_int(doc.get("max_flag_length", 3), "$.max_flag_length", minimum=1)
-    for g in gs:
-        if g < 2:
-            raise ValidationError("$.g", "genus values must be >= 2")
+    if min(gs) < 2:
+        raise ValidationError("$.g", "genus values must be >= 2")
+    if min(rs) < 1:
+        raise ValidationError("$.r", "rank values must be >= 1")
     plan = []
     for r in rs:
-        divs = divisors(r)[1:] if r > 0 else []
+        divs = divisors(r)[1:]
         d_list = [d for d in (ds or divs) if d in divs]
         if d_list:
             plan.append((r, d_list, [{}, *_sweep_systems(r, max_points, max_len)]))

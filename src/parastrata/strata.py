@@ -10,9 +10,11 @@ to the k-th multiplicity (condition b).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Iterator, Mapping, Sequence
 
 from .parabolic import ParabolicDatum, PointWeights
@@ -305,14 +307,82 @@ class CodimReport:
     codim_at_least_three: bool
 
 
+def point_survey(mults: Sequence[int], q: int, d: int) -> tuple[int, int]:
+    """The number of margin tables of one point and the largest
+    `matrix_flag_term` among them, without listing the tables.
+
+    A row summing to q has flag term (q^2 - sum v^2)/2, so a table has
+    (d q^2 - sum v^2)/2, and `best` comes from the smallest sum v^2:
+    each column m_k split as evenly as possible, d - r_k entries f_k and
+    r_k entries f_k + 1, where f_k, r_k = divmod(m_k, d).  Placed
+    cyclically, column after column, the larger entries of a column land
+    in distinct rows and every row sums to q, so
+
+        best = (d q^2 - sum_k [d f_k^2 + r_k (2 f_k + 1)]) / 2.
+
+    `count` fills the table column by column.  A relabelling of the rows
+    keeps the count, so the state is the remaining columns with the
+    sorted tuple of remaining row sums, memoized (Diaconis and Gangolli,
+    "Rectangular arrays with fixed margins", 1995).
+    """
+    mults = tuple(mults)
+    if sum(mults) != d * q:
+        raise ValueError(f"multiplicities sum to {sum(mults)}, expected {d} * {q}")
+    twice_best = d * q * q
+    for m in mults:
+        f, rem = divmod(m, d)
+        twice_best -= d * f * f + rem * (2 * f + 1)
+    return _table_count(mults, q, d), twice_best // 2
+
+
+@functools.lru_cache(maxsize=4096)
+def _table_count(mults: tuple[int, ...], q: int, d: int) -> int:
+    """The count of `point_survey`, kept per key; the memo of its states
+    lives for one key only, so the cache holds one integer per key."""
+    return _tables_left(mults, (q,) * d, {})
+
+
+def _tables_left(mults: tuple[int, ...], caps: tuple[int, ...], memo: dict) -> int:
+    """Tables with column sums `mults` and row sums `caps` (sorted), where
+    sum(mults) == sum(caps): the first column is taken out in every way
+    the row sums allow, and the last column is what the rows still need."""
+    if len(mults) == 1:
+        return 1
+    key = (len(mults), caps)
+    if key not in memo:
+        splits = _column_splits(mults[0], caps)
+        memo[key] = sum(_tables_left(mults[1:], tuple(sorted(left)), memo) for left in splits)
+    return memo[key]
+
+
+def _column_splits(m: int, caps: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """The row sums left after taking a column summing to m, entry j at
+    most caps[j], in every possible way."""
+    if len(caps) == 1:
+        if m <= caps[0]:
+            yield (caps[0] - m,)
+        return
+    for v in range(min(m, caps[0]) + 1):
+        for rest in _column_splits(m - v, caps[1:]):
+            yield (caps[0] - v, *rest)
+
+
 def codim_report(spec: ModuliSpec, d: int) -> CodimReport:
     """Survey every stratum and compare the exact codimension against
     the analytic lower bound r^2 (g-1) (1 - 1/d).
 
-    The per-point contributions are independent, so the maximum stratum
-    dimension is assembled from per-point maxima; the stratum count is
-    the product of the per-point counts.  Every point has a margin table
-    (north-west-corner rule), so both are always defined.
+    The per-point contributions are independent, so the report is a fold
+    of `point_survey` over the points: the per-point maxima add up to the
+    maximum stratum dimension and the per-point counts multiply to the
+    stratum count.  Neither walks the margin tables.  With q = r/d and
+    f_k, r_k = divmod(m_k, d), the maximum is the even split of each
+    column, (d q^2 - sum_k [d f_k^2 + r_k (2 f_k + 1)]) / 2; the count
+    fills the columns one by one, memoized on the sorted remaining row
+    sums (Diaconis and Gangolli, "Rectangular arrays with fixed
+    margins", 1995).  Every point has a margin table (north-west-corner
+    rule), so both are always defined.  A point with l weights has
+    sum_{k=1}^{min(l, q)} C(l, k) weight subsets, and the index count
+    multiplies their d-th powers.
     """
     q = _check_cover_degree(spec.rank, d)
     g, r = spec.genus, spec.rank
@@ -321,12 +391,9 @@ def codim_report(spec: ModuliSpec, d: int) -> CodimReport:
     num_systems = 1
     max_dim = (g - 1) * (r**2 // d - 1)
     for _, pw in spec.points:
-        count = 0
-        best = 0
-        for mat in margin_tables(pw.multiplicities, q, d):
-            count += 1
-            best = max(best, matrix_flag_term(mat))
-        num_indices *= len(weight_subsets(pw, q)) ** d
+        count, best = point_survey(pw.multiplicities, q, d)
+        subsets = sum(comb(pw.length, k) for k in range(1, min(pw.length, q) + 1))
+        num_indices *= subsets**d
         num_systems *= count
         max_dim += best
 

@@ -31,11 +31,11 @@ from parastrata import (
     par_degree,
     par_slope,
     pic_rank_flag,
+    point_systems,
     pullback,
     pushforward,
     pushforward_point,
     kunneth_report,
-    weight_subsets,
     weyl_bfs_order,
     weyl_poincare,
 )
@@ -130,13 +130,9 @@ def test_criterion_2_matrix_oracle():
                 for mults in comps:
                     point = PointWeights.of(weights, mults)
                     margin_valid = brute_force_margin_matrices(mults, r, d)
-                    for t in itertools.product(weight_subsets(point, q), repeat=d):
-                        got = sorted(
-                            m.entries for m in enumerate_matrices(t, point, r, d)
-                        )
-                        expected = sorted(
-                            m for m in margin_valid if support_matches(m, t)
-                        )
+                    for t, mats in point_systems(point, r, d):
+                        got = [m.entries for m in mats]
+                        expected = [m for m in margin_valid if support_matches(m, t)]
                         assert got == expected, (d, q, mults, t)
                         compared += 1
     assert compared > 3000

@@ -209,9 +209,13 @@ def test_sweep_mode_streams_reports():
 def test_sweep_skips_ranks_without_proper_divisors():
     base = {"g": [2], "max_points": 1, "max_flag_length": 2}
     _, out, _ = run_json(["codim", "--sweep"], {**base, "r": [2]})
-    code, out2, err = run_json(["codim", "--sweep"], {**base, "r": [-3, 0, 1, 2]})
+    code, out2, err = run_json(["codim", "--sweep"], {**base, "r": [1, 2]})
     assert code == 0, err
     assert out2 == out
+    for bad in (-3, 0):
+        code, out3, err = run_json(["codim", "--sweep"], {**base, "r": [bad, 1, 2]})
+        assert (code, out3) == (2, b"")
+        assert err == b"error: $.r: rank values must be >= 1\n"
 
 
 def test_validation_failures_exit_two_with_clean_stdout():

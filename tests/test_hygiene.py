@@ -1,7 +1,11 @@
 """Source hygiene of the library: no runtime dependencies beyond the
-standard library, and no floating point."""
+standard library, and no floating point.  The benchmark's seed-0
+outputs are also reproduced here, byte for byte."""
 
 import ast
+import hashlib
+import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -48,3 +52,23 @@ def test_benchmark_tracer_installs():
     code = "import sys; sys.path[:0] = ['src', 'perfbench']; import tracing; tracing.install(tracing.Tracer())"
     proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("workload", ["sweep", "requests"])
+def test_benchmark_round_zero_matches_golden_digest(workload, monkeypatch):
+    """The CLI's output bytes are its contract: the first timed round of
+    seed 0 must hash to the digest the benchmark checks against."""
+    from parastrata.cli import run_command
+
+    spec = importlib.util.spec_from_file_location("perfbench_gen", ROOT / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, gen)  # dataclasses look their module up
+    spec.loader.exec_module(gen)
+    rounds, _ = gen.streams(workload, 0)
+    digest = hashlib.sha256()
+    for req in next(rounds):
+        code, out, err = run_command(req.argv, req.stdin)
+        assert code == 0, err
+        digest.update(out)
+    golden = json.loads((ROOT / "perfbench" / "golden.json").read_text())
+    assert digest.hexdigest() == golden[workload]

@@ -16,8 +16,10 @@ from parastrata import (
     enumerate_stratum_indices,
     flag_dimension,
     margin_tables,
+    matrix_flag_term,
     matrix_to_multiplicity_system,
     moduli_dimension,
+    point_survey,
     point_systems,
     pushforward,
     stratum_dimension,
@@ -133,13 +135,15 @@ def test_matrix_oracle_agreement_battery():
                 weights = [Fraction(k, width + 1) for k in range(1, width + 1)]
                 for mults in compositions:
                     point = PointWeights.of(weights, mults)
-                    subs = weight_subsets(point, q)
                     margin_valid = brute_force_margin_matrices(mults, r, d)
-                    for t in itertools.product(subs, repeat=d):
-                        got = [m.entries for m in enumerate_matrices(t, point, r, d)]
+                    listed = 0
+                    for t, mats in point_systems(point, r, d):
+                        got = [m.entries for m in mats]
                         expected = [m for m in margin_valid if support_matches(m, t)]
-                        assert sorted(got) == sorted(expected)
+                        assert got == expected
                         assert len(set(got)) == len(got)
+                        listed += len(got)
+                    assert listed == len(margin_valid)
 
 
 def test_matrix_enumeration_is_deterministic_row_major():
@@ -395,3 +399,27 @@ def test_margin_tables_match_oracle_on_acceptance_grid():
                     assert rep.max_stratum_dim == r * r // d - 1 + best
                     keys += 1
     assert keys == 68
+
+
+def test_point_survey_matches_margin_tables():
+    # every key with r <= 8, at most four weights and d | r, d >= 2
+    keys = 0
+    for r in range(2, 9):
+        for width in range(1, 5):
+            for cuts in itertools.combinations(range(1, r), width - 1):
+                mults = tuple(b - a for a, b in zip((0, *cuts), (*cuts, r)))
+                for d in (d for d in range(2, r + 1) if r % d == 0):
+                    terms = [matrix_flag_term(m) for m in margin_tables(mults, r // d, d)]
+                    assert point_survey(mults, r // d, d) == (len(terms), max(terms)), (mults, d)
+                    keys += 1
+    assert keys == 349
+
+
+def test_point_survey_counts_beyond_enumeration():
+    assert point_survey((10, 10, 10, 10), 10, 4)[0] == 5045326
+    assert point_survey((2,) * 12, 4, 6)[0] == 3536978063850
+
+
+def test_point_survey_rejects_wrong_margin():
+    with pytest.raises(ValueError, match="multiplicities sum to 3, expected 2 \\* 2"):
+        point_survey((1, 2), 2, 2)
