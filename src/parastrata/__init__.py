@@ -16,6 +16,7 @@ from .exact import (
     CyclotomicField,
     ExactMatrix,
     IntPolynomial,
+    charpoly,
     cyclotomic_field,
     cyclotomic_polynomial,
     inverse,

@@ -10,6 +10,7 @@ basis.
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,6 +19,7 @@ from typing import NamedTuple, Sequence
 from .exact import (
     Cyclotomic,
     ExactMatrix,
+    charpoly,
     cyclotomic_field,
     kernel,
     reduced_row_basis,
@@ -153,6 +155,8 @@ class FlagAutomorphism:
     carried with ``eigenspaces[e]``, the canonical basis of its zeta_d**e
     eigenspace.  They are its order check: x**d - 1 has d distinct roots
     in characteristic 0, so phi**d = 1 exactly when they span the space.
+    A kernel is taken only where zeta_d**e is a root of the
+    characteristic polynomial; elsewhere the eigenspace is zero.
     """
 
     __slots__ = ("matrix", "order", "eigenspaces")
@@ -164,7 +168,12 @@ class FlagAutomorphism:
         if matrix.field != field:
             raise ValueError("matrix must live over the order-d cyclotomic field")
         ident = ExactMatrix.identity(field, matrix.rows)
-        self.eigenspaces = tuple(kernel(matrix - ident.scaled(field.zeta(e))) for e in range(order))
+        top_down = charpoly(matrix)[::-1]
+        self.eigenspaces = tuple(
+            kernel(matrix - ident.scaled(z))
+            if not functools.reduce(lambda acc, c: acc * z + c, top_down) else ()
+            for z in map(field.zeta, range(order))
+        )
         if sum(map(len, self.eigenspaces)) != matrix.rows:
             raise ValueError(f"matrix to the power {order} is not the identity")
         self.matrix = matrix

@@ -6,15 +6,21 @@ Three scalar domains, all immutable and arbitrary precision:
 * ``IntPolynomial`` -- integer-coefficient polynomials in one variable;
 * ``Cyclotomic`` -- elements of the field Q(zeta_d), stored as residues
   modulo the d-th cyclotomic polynomial in the power basis
-  1, x, ..., x^(phi(d)-1).
+  1, x, ..., x^(phi(d)-1): integer numerators over one positive
+  denominator, in lowest terms.  A product is an integer convolution
+  reduced by the monic modulus; an inverse is the product of the other
+  Galois conjugates over the norm, the conjugates read off one table of
+  the powers of zeta.
 
 ``ExactMatrix`` carries a rectangular block of scalars from one
 ``CyclotomicField``; the rationals are ``RATIONALS = cyclotomic_field(1)``,
 whose elements equal and hash like the ``Fraction`` they hold.  The
 elimination routines (``rref``, ``rank``, ``kernel``, ``solve``,
 ``inverse``) share one row reducer.  Pivoting is leftmost-first and
-pivots are normalized to one, so every output is deterministic.  No
-floating point anywhere.
+pivots are normalized to one, so every output is deterministic.
+``charpoly`` gives the characteristic polynomial by Hessenberg
+reduction, so a caller can tell which eigenvalues occur before taking a
+kernel.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ import functools
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 
 def to_fraction(x) -> Fraction:
@@ -190,71 +197,42 @@ def cyclotomic_polynomial(d: int) -> IntPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# Rational polynomial helpers (internal, for cyclotomic inversion)
-# ---------------------------------------------------------------------------
-
-
-def _qp_trim(c: list[Fraction]) -> list[Fraction]:
-    while c and not c[-1]:
-        c.pop()
-    return c
-
-
-def _qp_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(a)
-    quot = [Fraction(0)] * max(0, len(rem) - len(b) + 1)
-    lead = b[-1]
-    for k in range(len(rem) - 1, len(b) - 2, -1):
-        c = rem[k]
-        if c:
-            f = c / lead
-            quot[k - len(b) + 1] = f
-            for i, m in enumerate(b):
-                rem[k - len(b) + 1 + i] -= f * m
-    return _qp_trim(quot), _qp_trim(rem)
-
-
-def _qp_xgcd(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    """Return (g, s) with s*a = g modulo b, g a gcd of a and b."""
-    r0, r1 = list(a), list(b)
-    s0, s1 = [Fraction(1)], []
-    while r1:
-        q, r = _qp_divmod(r0, r1)
-        r0, r1 = r1, r
-        # s_next = s0 - q*s1
-        prod = [Fraction(0)] * (len(q) + len(s1) - 1) if q and s1 else []
-        for i, qc in enumerate(q):
-            if qc:
-                for j, sc in enumerate(s1):
-                    prod[i + j] += qc * sc
-        nxt = list(s0) + [Fraction(0)] * max(0, len(prod) - len(s0))
-        for i, c in enumerate(prod):
-            nxt[i] -= c
-        s0, s1 = s1, _qp_trim(nxt)
-    return r0, s0
-
-
-# ---------------------------------------------------------------------------
 # Cyclotomic fields
 # ---------------------------------------------------------------------------
 
 
-class Cyclotomic:
-    """An element of Q(zeta_d), as a residue modulo the d-th cyclotomic
-    polynomial in the power basis.
+def _lowest(field: "CyclotomicField", num: list[int], den: int) -> "Cyclotomic":
+    """The element num/den (den > 0), put in lowest terms."""
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num = [c // g for c in num]
+            den //= g
+    return Cyclotomic(field, tuple(num), den)
 
-    Arithmetic mixes freely with ``int`` and ``Fraction``.  Equality
-    (and hashing) against plain rationals holds exactly when the element
-    lies in the rational subfield.
+
+class Cyclotomic:
+    """An element of Q(zeta_d): integer numerators ``num`` over one
+    positive denominator ``den``, in lowest terms, of a residue modulo
+    the d-th cyclotomic polynomial in the power basis.
+
+    Equal elements have equal ``(num, den)``.  Arithmetic mixes freely
+    with ``int`` and ``Fraction``.  Equality (and hashing) against plain
+    rationals holds exactly when the element lies in the rational
+    subfield.
     """
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "num", "den")
 
-    def __init__(self, field: "CyclotomicField", coeffs: tuple[Fraction, ...]):
+    def __init__(self, field: "CyclotomicField", num: tuple[int, ...], den: int = 1):
         self.field = field
-        self.coeffs = coeffs
+        self.num = num
+        self.den = den
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The power-basis coefficients as rationals."""
+        return tuple(Fraction(c, self.den) for c in self.num)
 
     def _lift(self, other):
         if isinstance(other, Cyclotomic):
@@ -266,28 +244,34 @@ class Cyclotomic:
         if isinstance(other, bool):
             return None
         if isinstance(other, (int, Fraction)):
-            return self.field.from_rational(Fraction(other))
+            return self.field._rational(other)
         return None
 
     def __bool__(self) -> bool:
-        return any(self.coeffs)
+        return any(self.num)
 
     def __add__(self, other):
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return Cyclotomic(self.field, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        da, db = self.den, o.den
+        if da == db:
+            return _lowest(self.field, [a + b for a, b in zip(self.num, o.num)], da)
+        return _lowest(self.field, [a * db + b * da for a, b in zip(self.num, o.num)], da * db)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclotomic(self.field, tuple(-a for a in self.coeffs))
+        return Cyclotomic(self.field, tuple(-a for a in self.num), self.den)
 
     def __sub__(self, other):
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return Cyclotomic(self.field, tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
+        da, db = self.den, o.den
+        if da == db:
+            return _lowest(self.field, [a - b for a, b in zip(self.num, o.num)], da)
+        return _lowest(self.field, [a * db - b * da for a, b in zip(self.num, o.num)], da * db)
 
     def __rsub__(self, other):
         o = self._lift(other)
@@ -299,27 +283,28 @@ class Cyclotomic:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        k = self.field.degree
-        conv = [Fraction(0)] * (2 * k - 1) if k > 0 else []
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(o.coeffs):
-                    if b:
-                        conv[i + j] += a * b
-        return self.field.element(conv)
+        return _lowest(self.field, self.field._times(self.num, o.num), self.den * o.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyclotomic":
+        """By the norm: a^-1 = prod_{j in (Z/d)^*, j != 1} sigma_j(a) / N(a),
+        where sigma_j sends zeta to zeta^j and N(a) is the product of all
+        the conjugates, a rational number."""
         if not self:
             raise ZeroDivisionError("inversion of zero")
-        mod = [Fraction(c) for c in self.field.modulus.coeffs]
-        g, s = _qp_xgcd(list(self.coeffs), mod)
-        # modulus irreducible, so the gcd is a nonzero constant
-        if len(g) != 1:
-            raise ArithmeticError("gcd with the cyclotomic modulus is not constant")
-        inv = [c / g[0] for c in s]
-        return self.field.element(inv)
+        field, num, den = self.field, self.num, self.den
+        if field.degree == 1:
+            n = num[0]
+            return Cyclotomic(field, (den if n > 0 else -den,), abs(n))
+        cofactor = None
+        for j in field.units[1:]:
+            conj = field._conjugate(num, j)
+            cofactor = conj if cofactor is None else field._times(cofactor, conj)
+        norm = field._times(num, cofactor)[0]
+        if norm < 0:
+            norm, den = -norm, -den
+        return _lowest(field, [c * den for c in cofactor], norm)
 
     def __truediv__(self, other):
         o = self._lift(other)
@@ -346,24 +331,26 @@ class Cyclotomic:
         return acc
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self.num[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("element is not rational")
-        return self.coeffs[0] if self.coeffs else Fraction(0)
+        return Fraction(self.num[0], self.den)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Cyclotomic):
-            return self.field.order == other.field.order and self.coeffs == other.coeffs
+            return (self.field.order == other.field.order
+                    and self.den == other.den and self.num == other.num)
         if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
-            return self.is_rational() and self.rational_value() == other
+            return (self.is_rational() and self.den == other.denominator
+                    and self.num[0] == other.numerator)
         return NotImplemented
 
     def __hash__(self) -> int:
         if self.is_rational():
             return hash(self.rational_value())
-        return hash((self.field.order, self.coeffs))
+        return hash((self.field.order, self.num, self.den))
 
     def __repr__(self) -> str:
         terms = []
@@ -379,39 +366,87 @@ class Cyclotomic:
 
 
 class CyclotomicField:
-    """The field Q(zeta_d).  Obtain instances via ``cyclotomic_field(d)``."""
+    """The field Q(zeta_d).  Obtain instances via ``cyclotomic_field(d)``.
 
-    __slots__ = ("order", "modulus", "degree", "zero", "one")
+    ``powers[e]`` holds the integer coefficients of x**e modulo the
+    cyclotomic polynomial, for e in 0..d-1: it gives ``zeta(e)`` and
+    the Galois conjugates.  ``units`` lists (Z/d)^*, starting at 1.
+    """
+
+    __slots__ = ("order", "modulus", "degree", "powers", "units", "_tail", "_pad", "zero", "one")
 
     def __init__(self, order: int):
         if order < 1:
             raise ValueError("positive order expected")
         self.order = order
         self.modulus = cyclotomic_polynomial(order)
-        self.degree = self.modulus.degree
-        self.zero = Cyclotomic(self, (Fraction(0),) * self.degree)
-        self.one = self.element([Fraction(1)])
+        k = self.degree = self.modulus.degree
+        # x**k = -sum_j tail_j x**j modulo the (monic) modulus
+        self._tail = tuple((j, m) for j, m in enumerate(self.modulus.coeffs[:k]) if m)
+        self._pad = (0,) * (k - 1)
+        row = [1] + [0] * (k - 1)
+        powers = []
+        for _ in range(order):
+            powers.append(tuple(row))
+            top, row = row[-1], [0] + row[:-1]
+            for j, m in self._tail:
+                row[j] -= top * m
+        self.powers = tuple(powers)
+        self.units = tuple(j for j in range(1, order + 1) if gcd(j, order) == 1)
+        self.zero = Cyclotomic(self, (0,) * k)
+        self.one = Cyclotomic(self, powers[0])
 
-    def element(self, coeffs) -> Cyclotomic:
-        """Reduce an arbitrary-length rational coefficient sequence."""
-        c = [Fraction(v) for v in coeffs]
-        mod = self.modulus.coeffs
+    def _reduce(self, c: list[int]) -> list[int]:
+        """An integer coefficient list modulo the modulus, in place."""
         k = self.degree
         if len(c) < k:
-            c += [Fraction(0)] * (k - len(c))
+            c += [0] * (k - len(c))
         for i in range(len(c) - 1, k - 1, -1):
             t = c[i]
             if t:
-                for j in range(k):
-                    c[i - k + j] -= t * mod[j]
-        return Cyclotomic(self, tuple(c[:k]))
+                for j, m in self._tail:
+                    c[i - k + j] -= t * m
+        del c[k:]
+        return c
+
+    def _times(self, a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
+        """The product of two integer residues, reduced."""
+        if self.degree == 1:
+            return [a[0] * b[0]]
+        conv = [0] * (2 * self.degree - 1)
+        nonzero = [(j, y) for j, y in enumerate(b) if y]
+        for i, x in enumerate(a):
+            if x:
+                for j, y in nonzero:
+                    conv[i + j] += x * y
+        return self._reduce(conv)
+
+    def _conjugate(self, num: tuple[int, ...], j: int) -> list[int]:
+        """sigma_j(num): zeta**i goes to zeta**(i*j), read off ``powers``."""
+        d, powers = self.order, self.powers
+        out = [0] * self.degree
+        for i, a in enumerate(num):
+            if a:
+                for t, c in enumerate(powers[i * j % d]):
+                    if c:
+                        out[t] += a * c
+        return out
+
+    def _rational(self, x) -> Cyclotomic:
+        return Cyclotomic(self, (x.numerator,) + self._pad, x.denominator)
+
+    def element(self, coeffs) -> Cyclotomic:
+        """Reduce an arbitrary-length rational coefficient sequence."""
+        fracs = [to_fraction(v) for v in coeffs]
+        den = lcm(*(f.denominator for f in fracs))
+        return _lowest(self, self._reduce([f.numerator * (den // f.denominator) for f in fracs]), den)
 
     def from_rational(self, x) -> Cyclotomic:
-        return self.element([to_fraction(x)])
+        return self._rational(to_fraction(x))
 
     def zeta(self, power: int = 1) -> Cyclotomic:
         """zeta_d ** power, with zeta_d a fixed primitive d-th root of unity."""
-        return self.element([Fraction(0)] * (power % self.order) + [Fraction(1)])
+        return Cyclotomic(self, self.powers[power % self.order])
 
     def coerce(self, value) -> Cyclotomic:
         if isinstance(value, Cyclotomic):
@@ -423,7 +458,7 @@ class CyclotomicField:
         if isinstance(value, bool):
             raise TypeError("boolean is not a scalar")
         if isinstance(value, (int, Fraction)):
-            return self.from_rational(value)
+            return self._rational(value)
         raise TypeError(f"cannot coerce {value!r} into Q(zeta_{self.order})")
 
     def __eq__(self, other) -> bool:
@@ -550,30 +585,6 @@ class ExactMatrix:
             out.append(acc)
         return tuple(out)
 
-    def __pow__(self, n: int) -> "ExactMatrix":
-        if self.rows != self.cols:
-            raise ValueError("power of a non-square matrix")
-        if n < 0:
-            raise ValueError("negative matrix power")
-        acc = ExactMatrix.identity(self.field, self.rows)
-        base = self
-        while n:
-            if n & 1:
-                acc = acc * base
-            base = base * base
-            n >>= 1
-        return acc
-
-    def is_identity(self) -> bool:
-        if self.rows != self.cols:
-            return False
-        one, zero = self.field.one, self.field.zero
-        for i in range(self.rows):
-            for j in range(self.cols):
-                if self.entry(i, j) != (one if i == j else zero):
-                    return False
-        return True
-
     def _same_shape(self, other: "ExactMatrix") -> None:
         if self.field != other.field:
             raise ValueError("field mismatch")
@@ -620,7 +631,7 @@ def _rref_in_place(field, rows: list[list]) -> list[int]:
         for i in range(len(rows)):
             if i != r and rows[i][c]:
                 f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+                rows[i] = [a - f * b if b else a for a, b in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
     return pivots
@@ -701,3 +712,54 @@ def inverse(m: ExactMatrix) -> ExactMatrix:
         raise ValueError("matrix is not invertible")
     flat = [e for r in rows for e in r[n:]]
     return ExactMatrix(field, n, n, flat)
+
+
+def charpoly(m: ExactMatrix) -> tuple:
+    """Coefficients of det(x I - m), constant term first; monic, of
+    length n + 1.
+
+    m is brought to upper Hessenberg form by similarity transforms, and
+    the polynomial read off by the recurrence over its leading principal
+    minors (Cohen, A Course in Computational Algebraic Number Theory,
+    1993, Alg. 2.2.9): O(n^3) field operations, one inverse per column.
+    """
+    if m.rows != m.cols:
+        raise ValueError("characteristic polynomial of a non-square matrix")
+    n = m.rows
+    h = [list(m.row(i)) for i in range(n)]
+    for c in range(n - 2):
+        p = next((i for i in range(c + 1, n) if h[i][c]), None)
+        if p is None:
+            continue
+        s = c + 1
+        if p != s:
+            h[p], h[s] = h[s], h[p]
+            for row in h:
+                row[p], row[s] = row[s], row[p]
+        inv = h[s][c].inverse()
+        for i in range(s + 1, n):
+            if h[i][c]:
+                u = h[i][c] * inv
+                h[i] = [a - u * b if b else a for a, b in zip(h[i], h[s])]
+                for row in h:
+                    if row[i]:
+                        row[s] = row[s] + u * row[i]
+    zero, one = m.field.zero, m.field.one
+    polys = [[one]]
+    for k in range(n):
+        # p_{k+1} = (x - h_kk) p_k - sum_{r<k} h_rk h_{r+1,r} ... h_{k,k-1} p_r
+        prev = polys[-1]
+        p = [zero] + prev
+        for t, c in enumerate(prev):
+            p[t] = p[t] - h[k][k] * c
+        t_acc = one
+        for r in range(k - 1, -1, -1):
+            t_acc = t_acc * h[r + 1][r]
+            if not t_acc:
+                break
+            coef = t_acc * h[r][k]
+            if coef:
+                for t, c in enumerate(polys[r]):
+                    p[t] = p[t] - coef * c
+        polys.append(p)
+    return tuple(polys[n])

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -10,11 +11,13 @@ from parastrata import (
     FlagAutomorphism,
     ParabolicDatum,
     WeightedFlag,
+    charpoly,
     check_parabolic_morphism,
     cyclotomic_field,
     descend,
     fixed_point_shape,
     inverse,
+    kernel,
     nested_eigenbasis,
     pushforward,
     pushforward_point,
@@ -22,7 +25,7 @@ from parastrata import (
 )
 
 from parastrata.eigenflag import _extend_basis
-from util import random_flag_automorphism, random_invertible, random_weights
+from util import is_identity, matrix_power, random_flag_automorphism, random_invertible, random_weights
 
 
 def swap_flag():
@@ -146,10 +149,21 @@ def test_flag_preservation_matches_span_oracle():
 
 
 def test_automorphism_order_checked():
-    with pytest.raises(ValueError):
-        FlagAutomorphism.of(2, [[1, 1], [0, 1]])  # unipotent, not order 2
-    with pytest.raises(ValueError):
-        FlagAutomorphism.of(3, [[0, 1], [1, 0]])  # order 2, not 3
+    """Matrices whose d-th power is not the identity, including ones whose
+    characteristic polynomial has no d-th root of unity as a root, so
+    that every kernel is skipped."""
+    z3 = cyclotomic_field(3).zeta()
+    cases = [
+        (2, [[1, 1], [0, 1]]),  # unipotent, not order 2
+        (3, [[0, 1], [1, 0]]),  # order 2, not 3
+        (2, [[0, -1], [1, 0]]),  # order 4; x^2 + 1 has no rational root
+        (1, [[2]]),
+        (3, [[-z3, 0], [0, 1]]),  # order 6
+        (6, [[2, 0, 0], [0, 1, 0], [0, 0, 1]]),
+    ]
+    for d, rows in cases:
+        with pytest.raises(ValueError, match=f"^matrix to the power {d} is not the identity$"):
+            FlagAutomorphism.of(d, rows)
 
 
 def order_check_candidates(rng, field, n):
@@ -185,7 +199,7 @@ def test_automorphism_order_check_matches_power_oracle():
         field = cyclotomic_field(d)
         for n in range(1, 4):
             for m in order_check_candidates(rng, field, n):
-                expected = (m**d).is_identity()
+                expected = is_identity(matrix_power(m, d))
                 outcomes.add(expected)
                 if not expected:
                     with pytest.raises(ValueError, match=f"^matrix to the power {d} is not the identity$"):
@@ -199,6 +213,42 @@ def test_automorphism_order_check_matches_power_oracle():
                     for v in eig:
                         assert m.apply(v) == tuple(field.zeta(e) * c for c in v)
     assert outcomes == {True, False}
+
+
+def test_charpoly_roots_are_the_nonzero_kernels():
+    """zeta^e is a root of the characteristic polynomial exactly when
+    m - zeta^e I has a nonzero kernel: the filter FlagAutomorphism uses
+    before it takes a kernel, on matrices of finite order and not."""
+    rng = random.Random(31)
+    checked = set()
+    for d in range(1, 9):
+        field = cyclotomic_field(d)
+        mats = [m for n in range(1, 4) for m in order_check_candidates(rng, field, n)]
+        mats += [random_flag_automorphism(rng, rng.randint(1, 5), d)[0].matrix for _ in range(6)]
+        for m in mats:
+            cp = charpoly(m)
+            ident = ExactMatrix.identity(field, m.rows)
+            for e in range(d):
+                z = field.zeta(e)
+                value = field.zero
+                for c in reversed(cp):
+                    value = value * z + c
+                root = not value
+                assert root == bool(kernel(m - ident.scaled(z)))
+                checked.add(root)
+    assert checked == {True, False}
+
+
+def test_nested_eigenbasis_repr_digest():
+    """The nested eigenbases of 150 seeded automorphisms, d in 1..6 and
+    r in 1..6, hash to a fixed digest: exact output, basis choice and
+    eigenvector order included."""
+    rng = random.Random(5)
+    digest = hashlib.sha256()
+    for i in range(150):
+        phi, flag = random_flag_automorphism(rng, 1 + (i // 6) % 6, 1 + i % 6)
+        digest.update(repr(nested_eigenbasis(phi, flag)).encode())
+    assert digest.hexdigest() == "85c20e1d4d274849d2b7729bbc564d85bc12a38cbcf86b542d7fe8c4c918bfd1"
 
 
 # --- descent ---------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -7,6 +8,7 @@ from parastrata import (
     RATIONALS,
     ExactMatrix,
     IntPolynomial,
+    charpoly,
     cyclotomic_field,
     cyclotomic_polynomial,
     inverse,
@@ -16,6 +18,7 @@ from parastrata import (
     solve,
 )
 from parastrata.exact import divisors
+from util import is_identity, matrix_power, ref_inverse, ref_mul
 
 
 # --- independent oracles -----------------------------------------------------
@@ -165,6 +168,16 @@ def test_from_rational_rejects_floats():
     assert cyclotomic_field(1).from_rational("1/2") == Fraction(1, 2)
 
 
+def test_element_rejects_floats():
+    for order in (1, 3):
+        field = cyclotomic_field(order)
+        with pytest.raises(TypeError):
+            field.element([0.1])
+        with pytest.raises(TypeError):
+            field.element([Fraction(1, 2), 0.5])
+    assert cyclotomic_field(3).element(["1/10", 2]).coeffs == (Fraction(1, 10), Fraction(2))
+
+
 def test_inversion_of_zero_rejected():
     with pytest.raises(ZeroDivisionError):
         cyclotomic_field(6).zero.inverse()
@@ -288,7 +301,7 @@ def test_solve_and_inverse():
     x = solve(m, [Fraction(3), Fraction(2)])
     assert x == (Fraction(1), Fraction(1))
     inv = inverse(m)
-    assert (m * inv).is_identity()
+    assert is_identity(m * inv)
     singular = ExactMatrix.from_rows(RATIONALS, [[1, 1], [1, 1]])
     with pytest.raises(ValueError):
         inverse(singular)
@@ -298,6 +311,131 @@ def test_solve_and_inverse():
 def test_matrix_power_and_rank():
     f = cyclotomic_field(4)
     m = ExactMatrix.from_rows(f, [[0, -1], [1, 0]])
-    assert (m**4).is_identity()
-    assert not (m**2).is_identity()
+    assert is_identity(matrix_power(m, 4))
+    assert not is_identity(matrix_power(m, 2))
     assert rank(m) == 2
+
+
+# --- integer-numerator arithmetic against the Fraction reference ---------------
+
+
+def random_coefficients(rng, field, bound=10**6):
+    """Sparse or dense, over one shared or over separate denominators."""
+    shared = rng.randint(1, bound)
+    out = []
+    for _ in range(field.degree):
+        if rng.random() < 0.3:
+            out.append(Fraction(0))
+        else:
+            den = shared if rng.random() < 0.5 else rng.randint(1, bound)
+            out.append(Fraction(rng.randint(-bound, bound), den))
+    return tuple(out)
+
+
+def test_arithmetic_matches_fraction_reference():
+    rng = random.Random(2026)
+    for d in range(1, 31):
+        field = cyclotomic_field(d)
+        for _ in range(5):
+            a, b = random_coefficients(rng, field), random_coefficients(rng, field)
+            if rng.random() < 0.2:
+                b = a
+            x, y = field.element(a), field.element(b)
+            assert x.coeffs == a and y.coeffs == b
+            results = {
+                "+": ((x + y).coeffs, tuple(p + q for p, q in zip(a, b))),
+                "-": ((x - y).coeffs, tuple(p - q for p, q in zip(a, b))),
+                "*": ((x * y).coeffs, ref_mul(field, a, b)),
+            }
+            if any(b):
+                inv = y.inverse()
+                if field.degree <= 12:
+                    results["inverse"] = (inv.coeffs, ref_inverse(field, b))
+                else:  # the reference xgcd takes seconds here; check the product
+                    results["inverse"] = (ref_mul(field, inv.coeffs, b), field.one.coeffs)
+            for op, (got, want) in results.items():
+                assert got == want, (d, op)
+            assert (x == y) == (a == b)
+            for z in (x + y, x - y, x * y, -x):
+                assert z.den > 0 and gcd(z.den, *z.num) == 1
+                again = field.element(z.coeffs)
+                assert again == z and hash(again) == hash(z)
+            # a longer sequence is reduced like the reference does it
+            long = a + random_coefficients(rng, field)[: rng.randint(0, field.degree)]
+            assert field.element(long).coeffs == ref_mul(field, long, (Fraction(1),))
+
+
+def test_rational_elements_equal_and_hash_like_fractions():
+    rng = random.Random(13)
+    for d in range(1, 31):
+        field = cyclotomic_field(d)
+        for _ in range(5):
+            r = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
+            x = field.from_rational(r)
+            assert x == r and r == x and hash(x) == hash(r)
+            if r:
+                assert x.inverse() == 1 / r and hash(x.inverse()) == hash(1 / r)
+            if r.denominator == 1:
+                assert x == r.numerator and hash(x) == hash(r.numerator)
+        z = field.zeta()
+        assert (z * z.inverse()) == 1 and hash(z * z.inverse()) == hash(1)
+        assert (z == 1) == (d == 1)
+
+
+# --- characteristic polynomial -------------------------------------------------
+
+
+def laplace_det(rows):
+    """Determinant by cofactor expansion along the first row (oracle)."""
+    if not rows:
+        return 1
+    total = 0
+    for j, a in enumerate(rows[0]):
+        if a:
+            minor = [r[:j] + r[j + 1:] for r in rows[1:]]
+            term = a * laplace_det(minor)
+            total = total + term if j % 2 == 0 else total - term
+    return total
+
+
+def polynomial_at_matrix(coeffs, m):
+    ident = ExactMatrix.identity(m.field, m.rows)
+    acc = ExactMatrix.zeros(m.field, m.rows, m.rows)
+    for c in reversed(coeffs):
+        acc = acc * m + ident.scaled(c)
+    return acc
+
+
+def test_charpoly_small_examples():
+    f = cyclotomic_field(4)
+    assert charpoly(ExactMatrix.from_rows(f, [[0, -1], [1, 0]])) == (1, 0, 1)
+    # the first subdiagonal entry is zero, so the reduction swaps rows 1 and 2
+    m = ExactMatrix.from_rows(RATIONALS, [[1, 2, 3], [0, 4, 5], [6, 7, 8]])
+    assert charpoly(m) == (15, -9, -13, 1)
+    assert charpoly(ExactMatrix.zeros(RATIONALS, 0, 0)) == (1,)
+    with pytest.raises(ValueError):
+        charpoly(ExactMatrix.zeros(RATIONALS, 2, 3))
+
+
+def test_charpoly_matches_determinant_and_cayley_hamilton():
+    """det(t I - m) at n + 1 points t fixes a degree-n polynomial; the
+    matrix is also a root of its own characteristic polynomial."""
+    rng = random.Random(37)
+    for d in (1, 2, 3, 4, 5, 8, 12, 15):
+        field = cyclotomic_field(d)
+        for _ in range(6):
+            n = rng.randint(1, 5)
+            density = rng.choice([0.3, 0.7, 1.0])
+            m = ExactMatrix(field, n, n, [
+                field.element([rng.randint(-3, 3) for _ in range(field.degree)])
+                if rng.random() < density else field.zero
+                for _ in range(n * n)
+            ])
+            cp = charpoly(m)
+            assert len(cp) == n + 1 and cp[-1] == 1
+            for t in range(n + 1):
+                shifted = ExactMatrix.identity(field, n).scaled(t) - m
+                value = sum((c * t**i for i, c in enumerate(cp)), field.zero)
+                assert value == laplace_det([list(r) for r in shifted.iter_rows()])
+            assert polynomial_at_matrix(cp, m) == ExactMatrix.zeros(field, n, n)
+

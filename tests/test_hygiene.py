@@ -54,7 +54,7 @@ def test_benchmark_tracer_installs():
     assert proc.returncode == 0, proc.stderr
 
 
-@pytest.mark.parametrize("workload", ["sweep", "requests"])
+@pytest.mark.parametrize("workload", ["sweep", "descend", "requests"])
 def test_benchmark_round_zero_matches_golden_digest(workload, monkeypatch):
     """The CLI's output bytes are its contract: the first timed round of
     seed 0 must hash to the digest the benchmark checks against."""

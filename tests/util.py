@@ -1,5 +1,7 @@
 """Shared helpers for the test suite: seeded random generators for
-parabolic data, covers, and finite-order flag automorphisms."""
+parabolic data, covers, and finite-order flag automorphisms; matrix
+powers; and a reference arithmetic for Q(zeta_d) on ``Fraction``
+coefficients (schoolbook product, extended-Euclid inverse)."""
 
 from fractions import Fraction
 
@@ -104,3 +106,78 @@ def random_flag_automorphism(rng, r, d, max_len=3, uniform=False):
     weights = random_weights(rng, length)
     flag = WeightedFlag(d, subspaces, weights)
     return phi, flag
+
+
+def is_identity(m):
+    return m == ExactMatrix.identity(m.field, m.rows) if m.rows == m.cols else False
+
+
+def matrix_power(m, n):
+    """m**n by repeated squaring, for n >= 0."""
+    if m.rows != m.cols or n < 0:
+        raise ValueError("power of a non-square matrix or negative power")
+    acc = ExactMatrix.identity(m.field, m.rows)
+    while n:
+        if n & 1:
+            acc = acc * m
+        m = m * m
+        n >>= 1
+    return acc
+
+
+# --- reference arithmetic in Q(zeta_d): Fraction coefficient lists --------------
+
+
+def _trim(c):
+    while c and not c[-1]:
+        c.pop()
+    return c
+
+
+def _poly_divmod(a, b):
+    rem = list(a)
+    quot = [Fraction(0)] * max(0, len(rem) - len(b) + 1)
+    for k in range(len(rem) - 1, len(b) - 2, -1):
+        if rem[k]:
+            f = rem[k] / b[-1]
+            quot[k - len(b) + 1] = f
+            for i, m in enumerate(b):
+                rem[k - len(b) + 1 + i] -= f * m
+    return _trim(quot), _trim(rem)
+
+
+def _poly_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def ref_reduce(field, coeffs):
+    """Fraction coefficients of a polynomial modulo the field's modulus,
+    padded to the field degree."""
+    mod = [Fraction(c) for c in field.modulus.coeffs]
+    rem = _poly_divmod([Fraction(c) for c in coeffs], mod)[1]
+    return tuple(rem + [Fraction(0)] * (field.degree - len(rem)))
+
+
+def ref_mul(field, a, b):
+    return ref_reduce(field, _poly_mul(list(a), list(b)))
+
+
+def ref_inverse(field, a):
+    """Inverse of a nonzero residue by the extended Euclidean algorithm:
+    s*a = g modulo the modulus, with g a nonzero constant."""
+    r0, r1 = _trim(list(a)), [Fraction(c) for c in field.modulus.coeffs]
+    s0, s1 = [Fraction(1)], []
+    while r1:
+        q, r = _poly_divmod(r0, r1)
+        r0, r1 = r1, r
+        qs = _poly_mul(q, s1)
+        nxt = s0 + [Fraction(0)] * max(0, len(qs) - len(s0))
+        for i, c in enumerate(qs):
+            nxt[i] -= c
+        s0, s1 = s1, _trim(nxt)
+    assert len(r0) == 1, "gcd with the modulus is not constant"
+    return ref_reduce(field, [c / r0[0] for c in s0])
