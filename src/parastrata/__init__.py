@@ -71,6 +71,7 @@ from .strata import (
     point_survey,
     point_systems,
     stratum_dimension,
+    subset_count,
     weight_subsets,
 )
 from .flagcoh import (

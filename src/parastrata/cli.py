@@ -15,6 +15,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring
 
 from . import cover as cover_mod
 from . import eigenflag as ef
@@ -28,6 +29,8 @@ VERSION = "parastrata/1.0"
 SUBCOMMANDS = ("dim", "generic", "strata", "codim", "pushforward", "descend", "flagcoh")
 
 _FRACTION_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
+# built once: json.dumps with separators builds a new encoder per call
+_compact_json = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False).encode
 
 
 class ValidationError(ValueError):
@@ -239,7 +242,7 @@ def cmd_strata(payload) -> tuple[dict, dict]:
         ]
         num_indices *= len(indices)
         num_systems *= sum(len(index["matrices"]) for index in indices)
-        subset_count = len(st.weight_subsets(pw, spec.rank // d))
+        subset_count = st.subset_count(pw.length, spec.rank // d)
         per_point.append({"point": pid, **point, "subset_count": subset_count, "indices": indices})
     result = {
         "num_indices": num_indices,
@@ -596,6 +599,33 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return obj
 
 
+def _report_json(o, ind: str = "\n") -> str:
+    """The text of json.dumps(o, indent=2, ensure_ascii=False) for a tree
+    of dicts with string keys, lists, tuples, strings, ints, booleans and
+    None, dispatched on the exact type; anything else, subclasses
+    included, raises TypeError.  ``ind`` is the newline and indent that
+    close the value, so each level is one join."""
+    t = type(o)
+    if t is str:
+        return encode_basestring(o)
+    if t is int:
+        return int.__repr__(o)
+    inner = ind + "  "
+    if t is dict:
+        items = [encode_basestring(k) + ": " + _report_json(v, inner) for k, v in o.items()]
+        return "{" + inner + ("," + inner).join(items) + ind + "}" if items else "{}"
+    if t is list or t is tuple:
+        items = [_report_json(v, inner) for v in o]
+        return "[" + inner + ("," + inner).join(items) + ind + "]" if items else "[]"
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+
+
 def run_command(argv, stdin: bytes = b"") -> tuple[int, bytes, bytes]:
     """Run one CLI invocation; returns (exit status, stdout, stderr)."""
     try:
@@ -614,15 +644,24 @@ def run_command(argv, stdin: bytes = b"") -> tuple[int, bytes, bytes]:
         else:
             raw = stdin
         try:
-            payload = json.loads(raw.decode("utf-8"), object_pairs_hook=_unique_keys)
+            text = raw.decode("utf-8")
+            payload = json.loads(text, object_pairs_hook=_unique_keys)
         except (ValueError, RecursionError) as exc:
             # ValueError covers malformed text and encoding, integer
             # literals past the int-to-str digit limit and duplicate keys
             return 2, b"", f"error: invalid JSON input: {exc}\n".encode()
+        # only an escape can put a lone surrogate, which has no UTF-8
+        # form, into the decoded text
+        if "\\u" in text:
+            try:
+                _compact_json(payload).encode()
+            except UnicodeEncodeError as exc:
+                bad = ord(exc.object[exc.start])
+                return 2, b"", f"error: invalid JSON input: lone surrogate \\u{bad:04x}\n".encode()
 
         if sub == "codim" and opts["sweep"]:
             lines = cmd_codim_sweep(payload)
-            out = "".join(json.dumps(line, separators=(",", ":"), ensure_ascii=False) + "\n" for line in lines)
+            out = "".join(_compact_json(line) + "\n" for line in lines)
         else:
             if sub == "dim":
                 echo, result = cmd_dim(payload)
@@ -639,7 +678,7 @@ def run_command(argv, stdin: bytes = b"") -> tuple[int, bytes, bytes]:
             else:
                 echo, result = cmd_flagcoh(payload, opts["pic_rank_qg"])
             report = {"version": VERSION, "subcommand": sub, "input": echo, "result": result}
-            out = json.dumps(report, indent=2, ensure_ascii=False) + "\n"
+            out = _report_json(report) + "\n"
     except ValidationError as exc:
         return 2, b"", f"error: {exc}\n".encode()
     except Exception as exc:  # pragma: no cover - internal fault path

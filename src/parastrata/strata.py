@@ -106,6 +106,12 @@ def weight_subsets(pw: PointWeights, max_size: int) -> tuple[tuple[int, ...], ..
     return tuple(subs)
 
 
+def subset_count(length: int, max_size: int) -> int:
+    """The number of `weight_subsets` of a point with `length` weights:
+    sum_{k=1}^{min(length, max_size)} C(length, k)."""
+    return sum(comb(length, k) for k in range(1, min(length, max_size) + 1))
+
+
 def enumerate_stratum_indices(spec: ModuliSpec, d: int) -> Iterator[StratumIndex]:
     """All stratum indices, lazily, in lexicographic order.
 
@@ -381,8 +387,21 @@ def codim_report(spec: ModuliSpec, d: int) -> CodimReport:
     sums (Diaconis and Gangolli, "Rectangular arrays with fixed
     margins", 1995).  Every point has a margin table (north-west-corner
     rule), so both are always defined.  A point with l weights has
-    sum_{k=1}^{min(l, q)} C(l, k) weight subsets, and the index count
-    multiplies their d-th powers.
+    `subset_count(l, q)` weight subsets, and the index count multiplies
+    their d-th powers.
+
+    With slack_p = flag_dimension(m_p) - best_p, where best_p is the
+    largest flag term at point p, the genus terms give exactly
+
+        codim = bound + sum_p slack_p,
+
+    and since an even split of m_k into d parts has sum v^2 >= m_k^2/d,
+    2 d slack_p >= (d - 1)(r^2 - sum_k m_k^2) >= 0, with slack_p = 0
+    exactly when the point has a single weight.  So `meets_bound` holds
+    for every configuration, and codim < 3 only when g = r = d = 2 and
+    every point has a single weight: the bound is 2 there and at least 4
+    (g = 3, r = d = 2) for every other (g, r, d).  `meets_bound` is
+    still computed; the tests check the identity.
     """
     q = _check_cover_degree(spec.rank, d)
     g, r = spec.genus, spec.rank
@@ -392,8 +411,7 @@ def codim_report(spec: ModuliSpec, d: int) -> CodimReport:
     max_dim = (g - 1) * (r**2 // d - 1)
     for _, pw in spec.points:
         count, best = point_survey(pw.multiplicities, q, d)
-        subsets = sum(comb(pw.length, k) for k in range(1, min(pw.length, q) + 1))
-        num_indices *= subsets**d
+        num_indices *= subset_count(pw.length, q) ** d
         num_systems *= count
         max_dim += best
 

@@ -23,6 +23,7 @@ from parastrata import (
     descend,
     enumerate_matrices,
     fixed_point_shape,
+    flag_dimension,
     flag_poincare,
     galois_twist,
     genericity_witness,
@@ -31,6 +32,7 @@ from parastrata import (
     par_degree,
     par_slope,
     pic_rank_flag,
+    point_survey,
     point_systems,
     pullback,
     pushforward,
@@ -102,6 +104,14 @@ def test_criterion_1_codimension_sweep():
                     assert rep.num_systems > 0, (g, r, d, points)
                     assert rep.codim is not None
                     assert Fraction(rep.codim) >= rep.bound, (g, r, d, points, rep)
+                    # the identity behind the bound: codim = bound + sum of slacks
+                    slack = sum(
+                        flag_dimension(pw.multiplicities) - point_survey(pw.multiplicities, r // d, d)[1]
+                        for pw in points.values()
+                    )
+                    assert rep.codim == rep.bound + slack, (g, r, d, points, rep)
+                    single = all(pw.length == 1 for pw in points.values())
+                    assert rep.codim_at_least_three == ((g, r, d) != (2, 2, 2) or not single)
     elapsed = time.time() - start
     assert checked == 3844
     assert elapsed < 300, f"sweep took {elapsed:.0f}s, budget is 300s"

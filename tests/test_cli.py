@@ -1,8 +1,12 @@
 import json
+import tracemalloc
 from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings, strategies as hs
+
 from parastrata import ModuliSpec, MultiplicityMatrix, PointWeights, codim_report, stratum_dimension
-from parastrata.cli import run_command
+from parastrata.cli import _report_json, run_command
 
 
 def run_json(argv, payload):
@@ -297,3 +301,113 @@ def test_help_exits_zero():
     code, out, _ = run_command(["--help"])
     assert code == 0
     assert b"usage" in out
+
+
+# --- the report serializer against json's pure-Python indent=2 path -----------
+
+_AWKWARD = '"\\/\x00\x08\x0c\x1f\x7f\x80\u2028\u2029\ufeff[]{},: \\u0000\u00e9\U0001f600\U0010ffff'
+# joined lists draw far faster than hs.text over a mixed alphabet
+_TEXT = hs.lists(hs.sampled_from(_AWKWARD) | hs.characters(), max_size=8).map("".join)
+_LEAVES = hs.one_of(
+    hs.none(),
+    hs.booleans(),
+    hs.integers(min_value=-(2**70), max_value=2**70),
+    hs.integers(min_value=2**64),
+    _TEXT,
+)
+_TREES = hs.recursive(
+    _LEAVES,
+    lambda kids: hs.one_of(
+        hs.lists(kids, max_size=5),
+        hs.lists(kids, max_size=5).map(tuple),
+        hs.dictionaries(_TEXT, kids, max_size=5),
+    ),
+    max_leaves=40,
+)
+
+
+def expected_report(x):
+    return json.dumps(x, indent=2, ensure_ascii=False)
+
+
+@settings(max_examples=150, database=None, derandomize=True, deadline=None)
+@given(_TREES)
+def test_report_json_matches_json_dumps(tree):
+    assert _report_json(tree) == expected_report(tree)
+
+
+def test_report_json_fixed_cases():
+    deep = []
+    for i in range(200):
+        deep = {f"k{i}": [deep, (), {}, -i]}
+    cases = [
+        [], {}, (), [[]], {"": {}}, [(), [[], {}]], None, True, False, 0, -1, 2**64, -(2**200),
+        "", '"\\', "\u2028\U0001f600", {"a": None, "b": [True, False], "c": ("x", 1)}, deep,
+    ]
+    for case in cases:
+        assert _report_json(case) == expected_report(case)
+
+
+class _Text(str):
+    pass
+
+
+@pytest.mark.parametrize(
+    "bad", [Fraction(1, 2), 0.5, {1, 2}, b"x", {"a": [1, Fraction(3, 4)]}, [[0.0]], {1: 2}, _Text("x")]
+)
+def test_report_json_refuses_other_types(bad):
+    with pytest.raises(TypeError):
+        _report_json(bad)
+
+
+# --- lone surrogates -------------------------------------------------------------
+
+PUSH_ESCAPED = (
+    '{"cover": {"degree": 2, "fibers": {"p": ["%s", "q2"]}}, "datum": {"rank": 1, "degree": 0, '
+    '"points": {"%s": {"weights": ["1/4"], "mults": [1]}, "q2": {"weights": ["1/2"], "mults": [1]}}}}'
+)
+
+
+@pytest.mark.parametrize(
+    "argv, raw, bad",
+    [
+        (["dim"], r'{"g": 2, "r": 1, "points": [], "\ud800": 1}', r"\ud800"),
+        (["dim"], r'{"g": 2, "r": 1, "points": [{"weights": ["1/2"], "mults": [1], "a\udfff": 0}]}', r"\udfff"),
+        (["dim"], r'{"g": 2, "r": 1, "points": [{"weights": ["x\udc00"], "mults": [1]}]}', r"\udc00"),
+        (["pushforward"], PUSH_ESCAPED % (r"\ud800", "q1"), r"\ud800"),
+        (["pushforward"], PUSH_ESCAPED % ("q1", r"\ud800"), r"\ud800"),
+        (["pushforward"], PUSH_ESCAPED % (r"\ude00\ud83d", "q1"), r"\ude00"),
+        (["codim", "--sweep"], r'{"g": [2], "r": [2], "\udbff": 1}', r"\udbff"),
+    ],
+)
+def test_lone_surrogate_exits_two(argv, raw, bad):
+    code, out, err = run_command(argv, raw.encode())
+    assert (code, out) == (2, b"")
+    assert err == f"error: invalid JSON input: lone surrogate {bad}\n".encode()
+
+
+@pytest.mark.parametrize("wide", ["[" + ",".join(["0"] * 5000) + "]", json.dumps({str(i): 0 for i in range(5000)})])
+@pytest.mark.parametrize("tail", [r"\u0041", r"\ud800"])
+def test_surrogate_check_is_linear_in_the_input(wide, tail):
+    # a long key over a wide container: the check must not copy the key per child
+    raw = '{"g": 2, "r": 1, "points": [], "%s": %s, "x": "%s"}' % ("k" * 10_000, wide, tail)
+    tracemalloc.start()
+    try:
+        code, out, err = run_command(["dim"], raw.encode())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, b"")
+    assert err.startswith(b"error: ")
+    assert peak < 4 * 2**20
+
+
+def test_surrogate_pair_and_escaped_backslash_are_echoed():
+    for ident, text in [(r"\ud83d\ude00", "\U0001f600"), (r"\\ud800", "\\ud800"), (r"\u00e9", "\u00e9")]:
+        code, out, err = run_command(["pushforward"], (PUSH_ESCAPED % (ident, ident)).encode())
+        assert code == 0, err
+        report = json.loads(out.decode())
+        assert report["input"]["cover"]["fibers"]["p"] == [text, "q2"]
+        assert text in report["input"]["datum"]["points"]
+        assert out == (expected_report(report) + "\n").encode()
+        assert run_command(["pushforward"], json.dumps(report["input"]).encode())[1] == out

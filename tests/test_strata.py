@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as hs
 
 from parastrata import (
     CoverSpec,
@@ -23,6 +24,7 @@ from parastrata import (
     point_systems,
     pushforward,
     stratum_dimension,
+    subset_count,
     weight_subsets,
 )
 
@@ -423,3 +425,51 @@ def test_point_survey_counts_beyond_enumeration():
 def test_point_survey_rejects_wrong_margin():
     with pytest.raises(ValueError, match="multiplicities sum to 3, expected 2 \\* 2"):
         point_survey((1, 2), 2, 2)
+
+
+def test_subset_count_is_the_number_of_weight_subsets():
+    for length in range(1, 8):
+        point = PointWeights.of([Fraction(k, length + 1) for k in range(1, length + 1)], [1] * length)
+        for max_size in range(0, 9):
+            assert subset_count(length, max_size) == len(weight_subsets(point, max_size))
+
+
+def test_slack_lower_bound_on_every_composition():
+    # slack = flag dimension - largest flag term of one point; with the
+    # genus terms, codim = bound + the points' slacks (codim_report)
+    keys = 0
+    for r in range(2, 10):
+        for width in range(1, r + 1):
+            for cuts in itertools.combinations(range(1, r), width - 1):
+                mults = tuple(b - a for a, b in zip((0, *cuts), (*cuts, r)))
+                for d in (d for d in range(2, r + 1) if r % d == 0):
+                    slack = flag_dimension(mults) - point_survey(mults, r // d, d)[1]
+                    assert 2 * d * slack >= (d - 1) * (r * r - sum(m * m for m in mults)), (mults, d)
+                    assert (slack == 0) == (width == 1), (mults, d)
+                    keys += 1
+    assert keys == 1094
+
+
+@hs.composite
+def codim_configurations(draw):
+    r = draw(hs.integers(2, 12))
+    d = draw(hs.sampled_from([d for d in range(2, r + 1) if r % d == 0]))
+    points = {}
+    for i in range(draw(hs.integers(0, 3))):
+        cuts = draw(hs.sets(hs.integers(1, r - 1), max_size=3))
+        mults = [b - a for a, b in zip((0, *sorted(cuts)), (*sorted(cuts), r))]
+        points[f"p{i + 1}"] = PointWeights.of([Fraction(k, len(mults) + 1) for k in range(1, len(mults) + 1)], mults)
+    return ModuliSpec.of(draw(hs.integers(2, 6)), r, points), d
+
+
+@settings(max_examples=60, database=None, derandomize=True, deadline=None)
+@given(codim_configurations())
+def test_codim_is_bound_plus_slack_beyond_the_grid(config):
+    spec, d = config
+    rep = codim_report(spec, d)
+    slacks = [flag_dimension(pw.multiplicities) - point_survey(pw.multiplicities, spec.rank // d, d)[1]
+              for _, pw in spec.points]
+    assert rep.codim == rep.bound + sum(slacks)
+    assert rep.meets_bound
+    single = all(pw.length == 1 for _, pw in spec.points)
+    assert rep.codim_at_least_three == ((spec.genus, spec.rank, d) != (2, 2, 2) or not single)
