@@ -305,16 +305,25 @@ def _auto_weights(length: int) -> list[Fraction]:
 
 
 def _sweep_systems(rank: int, max_points: int, max_len: int):
+    """Every generated system of at most `max_points` points, the empty
+    one first, each with the encoded echo of its point list.  A
+    generated point is echoed and encoded once per rank, so a system's
+    echo is a join of encoded points."""
     per_point = []
     for length in range(1, min(max_len, rank) + 1):
         for comp in _compositions(rank, length):
-            per_point.append(pb.PointWeights.of(_auto_weights(length), comp))
-    for npts in range(1, max_points + 1):
+            pw = pb.PointWeights.of(_auto_weights(length), comp)
+            per_point.append((pw, _compact_json(echo_point(pw))))
+    for npts in range(max_points + 1):
         for combo in itertools.product(per_point, repeat=npts):
-            yield {f"p{i + 1}": pw for i, pw in enumerate(combo)}
+            points = {f"p{i + 1}": pw for i, (pw, _) in enumerate(combo)}
+            yield points, "[" + ",".join(echo for _, echo in combo) + "]"
 
 
-def cmd_codim_sweep(payload) -> list[dict]:
+def cmd_codim_sweep(payload) -> list[str]:
+    """One compact JSON line per (g, r, d, system), in that nesting
+    order: the echo of the configuration, then the `_codim_result`
+    fields.  A spec is built once per (g, r, system) and serves every d."""
     doc = expect_object(payload, "$")
     expect_keys(doc, "$", ("g", "r"), optional=("d", "max_points", "max_flag_length"))
     gs = _parse_range(doc["g"], "$.g")
@@ -331,17 +340,16 @@ def cmd_codim_sweep(payload) -> list[dict]:
         divs = divisors(r)[1:]
         d_list = [d for d in (ds or divs) if d in divs]
         if d_list:
-            plan.append((r, d_list, [{}, *_sweep_systems(r, max_points, max_len)]))
+            plan.append((r, d_list, list(_sweep_systems(r, max_points, max_len))))
     lines = []
     for g in gs:
         for r, d_list, systems in plan:
+            specs = [(st.ModuliSpec.of(g, r, points), echo) for points, echo in systems]
             for d in d_list:
-                for points in systems:
-                    spec = st.ModuliSpec.of(g, r, points)
-                    report = st.codim_report(spec, d)
-                    rec = {"g": g, "r": r, "d": d, "points": echo_points(points)}
-                    rec.update(_codim_result(report))
-                    lines.append(rec)
+                head = f'{{"g":{g},"r":{r},"d":{d},"points":'
+                for spec, echo in specs:
+                    result = _compact_json(_codim_result(st.codim_report(spec, d)))
+                    lines.append(head + echo + "," + result[1:])
     return lines
 
 
@@ -660,8 +668,7 @@ def run_command(argv, stdin: bytes = b"") -> tuple[int, bytes, bytes]:
                 return 2, b"", f"error: invalid JSON input: lone surrogate \\u{bad:04x}\n".encode()
 
         if sub == "codim" and opts["sweep"]:
-            lines = cmd_codim_sweep(payload)
-            out = "".join(_compact_json(line) + "\n" for line in lines)
+            out = "".join(line + "\n" for line in cmd_codim_sweep(payload))
         else:
             if sub == "dim":
                 echo, result = cmd_dim(payload)

@@ -315,7 +315,8 @@ class CodimReport:
 
 def point_survey(mults: Sequence[int], q: int, d: int) -> tuple[int, int]:
     """The number of margin tables of one point and the largest
-    `matrix_flag_term` among them, without listing the tables.
+    `matrix_flag_term` among them, without listing the tables; read
+    from the point's cached `_point_term`.
 
     A row summing to q has flag term (q^2 - sum v^2)/2, so a table has
     (d q^2 - sum v^2)/2, and `best` comes from the smallest sum v^2:
@@ -331,21 +332,29 @@ def point_survey(mults: Sequence[int], q: int, d: int) -> tuple[int, int]:
     sorted tuple of remaining row sums, memoized (Diaconis and Gangolli,
     "Rectangular arrays with fixed margins", 1995).
     """
-    mults = tuple(mults)
-    if sum(mults) != d * q:
-        raise ValueError(f"multiplicities sum to {sum(mults)}, expected {d} * {q}")
-    twice_best = d * q * q
-    for m in mults:
-        f, rem = divmod(m, d)
-        twice_best -= d * f * f + rem * (2 * f + 1)
-    return _table_count(mults, q, d), twice_best // 2
+    _, count, best, _ = _point_term(tuple(mults), q, d)
+    return count, best
 
 
 @functools.lru_cache(maxsize=4096)
-def _table_count(mults: tuple[int, ...], q: int, d: int) -> int:
-    """The count of `point_survey`, kept per key; the memo of its states
-    lives for one key only, so the cache holds one integer per key."""
-    return _tables_left(mults, (q,) * d, {})
+def _point_term(mults: tuple[int, ...], q: int, d: int) -> tuple[int, int, int, int]:
+    """What `codim_report` needs from one point, kept per key: its
+    `flag_dimension`, (n^2 - sum m_k^2)/2 with n = d q, the (count,
+    best) of `point_survey` and its number of subset d-tuples.  The
+    flag term is read from the same sums of squares as `best`, so a
+    zero multiplicity, which `margin_tables` accepts, is accepted here
+    too.  The memo of the count's states lives for one key only, so the
+    cache holds four integers per key."""
+    if sum(mults) != d * q:
+        raise ValueError(f"multiplicities sum to {sum(mults)}, expected {d} * {q}")
+    twice_flag = (d * q) ** 2
+    twice_best = d * q * q
+    for m in mults:
+        f, rem = divmod(m, d)
+        twice_flag -= m * m
+        twice_best -= d * f * f + rem * (2 * f + 1)
+    count = _tables_left(mults, (q,) * d, {})
+    return twice_flag // 2, count, twice_best // 2, subset_count(len(mults), q) ** d
 
 
 def _tables_left(mults: tuple[int, ...], caps: tuple[int, ...], memo: dict) -> int:
@@ -378,17 +387,12 @@ def codim_report(spec: ModuliSpec, d: int) -> CodimReport:
     the analytic lower bound r^2 (g-1) (1 - 1/d).
 
     The per-point contributions are independent, so the report is a fold
-    of `point_survey` over the points: the per-point maxima add up to the
-    maximum stratum dimension and the per-point counts multiply to the
-    stratum count.  Neither walks the margin tables.  With q = r/d and
-    f_k, r_k = divmod(m_k, d), the maximum is the even split of each
-    column, (d q^2 - sum_k [d f_k^2 + r_k (2 f_k + 1)]) / 2; the count
-    fills the columns one by one, memoized on the sorted remaining row
-    sums (Diaconis and Gangolli, "Rectangular arrays with fixed
-    margins", 1995).  Every point has a margin table (north-west-corner
-    rule), so both are always defined.  A point with l weights has
-    `subset_count(l, q)` weight subsets, and the index count multiplies
-    their d-th powers.
+    over the points of one cached per-key term, `_point_term(mults, q,
+    d)`: a point costs one lookup.  Its flag dimensions add up to
+    `moduli_dimension`, its `point_survey` maxima to the maximum stratum
+    dimension, its table counts multiply to the stratum count and its
+    `subset_count(l, q) ** d` subset tuples to the index count.  Nothing
+    walks the margin tables; `point_survey` states the closed forms.
 
     With slack_p = flag_dimension(m_p) - best_p, where best_p is the
     largest flag term at point p, the genus terms give exactly
@@ -405,17 +409,18 @@ def codim_report(spec: ModuliSpec, d: int) -> CodimReport:
     """
     q = _check_cover_degree(spec.rank, d)
     g, r = spec.genus, spec.rank
-    dim_m = moduli_dimension(spec)
+    dim_m = (r * r - 1) * (g - 1)
+    max_dim = (g - 1) * (r * r // d - 1)
     num_indices = 1
     num_systems = 1
-    max_dim = (g - 1) * (r**2 // d - 1)
     for _, pw in spec.points:
-        count, best = point_survey(pw.multiplicities, q, d)
-        num_indices *= subset_count(pw.length, q) ** d
-        num_systems *= count
+        flag, count, best, tuples = _point_term(pw.multiplicities, q, d)
+        dim_m += flag
         max_dim += best
+        num_systems *= count
+        num_indices *= tuples
 
-    bound = Fraction(r * r * (g - 1) * (d - 1), d)
+    bound_num = r * r * (g - 1) * (d - 1)
     codim = dim_m - max_dim
     return CodimReport(
         genus=g,
@@ -426,7 +431,7 @@ def codim_report(spec: ModuliSpec, d: int) -> CodimReport:
         num_systems=num_systems,
         max_stratum_dim=max_dim,
         codim=codim,
-        bound=bound,
-        meets_bound=Fraction(codim) >= bound,
+        bound=Fraction(bound_num, d),
+        meets_bound=codim * d >= bound_num,
         codim_at_least_three=codim >= 3,
     )

@@ -38,6 +38,7 @@ from parastrata import (
     pushforward,
     pushforward_point,
     kunneth_report,
+    moduli_dimension,
     weyl_bfs_order,
     weyl_poincare,
 )
@@ -99,11 +100,15 @@ def test_criterion_1_codimension_sweep():
         for r in (2, 3, 4, 6):
             for d in (d for d in range(2, r + 1) if r % d == 0):
                 for points in multiplicity_systems(r):
-                    rep = codim_report(ModuliSpec.of(g, r, points), d)
+                    spec = ModuliSpec.of(g, r, points)
+                    rep = codim_report(spec, d)
                     checked += 1
                     assert rep.num_systems > 0, (g, r, d, points)
                     assert rep.codim is not None
                     assert Fraction(rep.codim) >= rep.bound, (g, r, d, points, rep)
+                    # the fold against its independent pieces
+                    assert rep.dim_moduli == moduli_dimension(spec), (g, r, d, points, rep)
+                    assert rep.meets_bound == (Fraction(rep.codim) >= rep.bound), (g, r, d, points, rep)
                     # the identity behind the bound: codim = bound + sum of slacks
                     slack = sum(
                         flag_dimension(pw.multiplicities) - point_survey(pw.multiplicities, r // d, d)[1]

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as hs
 
 from parastrata import ModuliSpec, MultiplicityMatrix, PointWeights, codim_report, stratum_dimension
-from parastrata.cli import _report_json, run_command
+from parastrata.cli import _codim_result, _compact_json, _report_json, echo_points, run_command
+
+from test_acceptance import multiplicity_systems
 
 
 def run_json(argv, payload):
@@ -199,7 +201,7 @@ def test_no_float_values_in_output():
         walk(json.loads(out.decode()))
 
 
-def test_sweep_mode_streams_reports():
+def test_sweep_mode_writes_one_report_per_line():
     payload = {"g": [2], "r": [2], "max_points": 1, "max_flag_length": 2}
     code, out, err = run_json(["codim", "--sweep"], payload)
     assert code == 0, err
@@ -220,6 +222,36 @@ def test_sweep_skips_ranks_without_proper_divisors():
         code, out3, err = run_json(["codim", "--sweep"], {**base, "r": [bad, 1, 2]})
         assert (code, out3) == (2, b"")
         assert err == b"error: $.r: rank values must be >= 1\n"
+
+
+SWEEP_ORACLE_PAYLOADS = [
+    *({"g": [2], "r": [1, 2, 3, 4], "max_points": mp, "max_flag_length": ml}
+      for mp in range(4) for ml in range(1, 5)),
+    {"g": [3, 2, 3, 2], "r": [2, 6], "max_points": 1},
+    {"g": {"min": 2, "max": 4}, "r": {"min": 1, "max": 6}, "max_points": 1, "max_flag_length": 2},
+    {"g": [2, 3], "r": [4, 6], "d": [5, 3, 2, 4, 7], "max_points": 2, "max_flag_length": 2},
+]
+
+
+@pytest.mark.parametrize("payload", SWEEP_ORACLE_PAYLOADS)
+def test_sweep_lines_match_per_configuration_reports(payload):
+    """Every sweep line equals the line built on its own, with a fresh
+    spec, echo and report, in the sweep's (g, r, d, system) order."""
+    code, out, err = run_json(["codim", "--sweep"], payload)
+    assert code == 0, err
+    gs = payload["g"] if isinstance(payload["g"], list) else range(payload["g"]["min"], payload["g"]["max"] + 1)
+    rs = payload["r"] if isinstance(payload["r"], list) else range(payload["r"]["min"], payload["r"]["max"] + 1)
+    expected = []
+    for g in sorted(set(gs)):
+        for r in sorted(set(rs)):
+            ds = [d for d in payload.get("d", range(2, r + 1)) if d >= 2 and r % d == 0]
+            for d in sorted(ds):
+                for points in multiplicity_systems(r, payload["max_points"], payload.get("max_flag_length", 3)):
+                    report = codim_report(ModuliSpec.of(g, r, points), d)
+                    line = {"g": g, "r": r, "d": d, "points": echo_points(points), **_codim_result(report)}
+                    expected.append(_compact_json(line))
+    assert expected
+    assert out.decode().split("\n") == expected + [""]
 
 
 def test_validation_failures_exit_two_with_clean_stdout():

@@ -422,6 +422,13 @@ def test_point_survey_counts_beyond_enumeration():
     assert point_survey((2,) * 12, 4, 6)[0] == 3536978063850
 
 
+def test_point_survey_accepts_zero_columns():
+    # margin_tables takes a zero column sum; the survey keeps that domain
+    for mults, q, d in [((0, 4), 2, 2), ((2, 0, 2), 2, 2), ((0, 3, 0, 3), 2, 3), ((4,), 2, 2)]:
+        terms = [matrix_flag_term(mat) for mat in margin_tables(mults, q, d)]
+        assert point_survey(mults, q, d) == (len(terms), max(terms)), mults
+
+
 def test_point_survey_rejects_wrong_margin():
     with pytest.raises(ValueError, match="multiplicities sum to 3, expected 2 \\* 2"):
         point_survey((1, 2), 2, 2)
@@ -469,6 +476,8 @@ def test_codim_is_bound_plus_slack_beyond_the_grid(config):
     rep = codim_report(spec, d)
     slacks = [flag_dimension(pw.multiplicities) - point_survey(pw.multiplicities, spec.rank // d, d)[1]
               for _, pw in spec.points]
+    assert rep.dim_moduli == moduli_dimension(spec)
+    assert rep.meets_bound == (Fraction(rep.codim) >= rep.bound)
     assert rep.codim == rep.bound + sum(slacks)
     assert rep.meets_bound
     single = all(pw.length == 1 for _, pw in spec.points)
