@@ -28,7 +28,8 @@ VERSION = "parastrata/1.0"
 
 SUBCOMMANDS = ("dim", "generic", "strata", "codim", "pushforward", "descend", "flagcoh")
 
-_FRACTION_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
+# ASCII digits only, and \Z: `$` would also match before a trailing newline
+_FRACTION_RE = re.compile(r"([+-]?[0-9]+)(?:/([1-9][0-9]*))?\Z")
 # built once: json.dumps with separators builds a new encoder per call
 _compact_json = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False).encode
 
@@ -83,9 +84,14 @@ def parse_fraction(x, path: str) -> Fraction:
     if _is_int(x):
         return Fraction(x)
     if isinstance(x, str):
-        if not _FRACTION_RE.match(x):
+        m = _FRACTION_RE.match(x)
+        if m is None:
             raise ValidationError(path, f"expected a rational string like \"3/4\", got {x!r}")
-        return Fraction(x)
+        num, den = m.groups()
+        try:
+            return Fraction(int(num), int(den)) if den else Fraction(int(num))
+        except ValueError:  # past the int-to-str digit limit
+            raise ValidationError(path, "too many digits in a rational string") from None
     raise ValidationError(path, "expected a rational string (floats are not accepted)")
 
 

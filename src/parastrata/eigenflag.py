@@ -11,7 +11,6 @@ basis.
 from __future__ import annotations
 
 import functools
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
@@ -70,6 +69,15 @@ def _extend_basis(field, inner: Sequence[Vector], outer_basis: Sequence[Vector])
     if pivots[: len(inner)] != tuple(range(len(inner))):
         raise ValueError("inner vectors are not independent")
     return [vectors[p] for p in pivots]
+
+
+def _shifted(matrix: ExactMatrix, z: Cyclotomic) -> ExactMatrix:
+    """matrix - z I, with z subtracted on the diagonal only."""
+    n = matrix.rows
+    entries = list(matrix.entries)
+    for i in range(0, n * n, n + 1):
+        entries[i] = entries[i] - z
+    return ExactMatrix(matrix.field, n, n, entries)
 
 
 class WeightedFlag:
@@ -167,10 +175,9 @@ class FlagAutomorphism:
         field = cyclotomic_field(order)
         if matrix.field != field:
             raise ValueError("matrix must live over the order-d cyclotomic field")
-        ident = ExactMatrix.identity(field, matrix.rows)
         top_down = charpoly(matrix)[::-1]
         self.eigenspaces = tuple(
-            kernel(matrix - ident.scaled(z))
+            kernel(_shifted(matrix, z))
             if not functools.reduce(lambda acc, c: acc * z + c, top_down) else ()
             for z in map(field.zeta, range(order))
         )
@@ -203,6 +210,13 @@ class NestedEigenbasis:
     levels: tuple[tuple[EigenVector, ...], ...]
 
 
+def _check_pair(phi: FlagAutomorphism, flag: WeightedFlag) -> None:
+    if flag.field_order != phi.order:
+        raise ValueError("flag and automorphism must share the same field order")
+    if phi.dimension != flag.ambient_dim:
+        raise ValueError("automorphism dimension does not match the flag")
+
+
 def nested_eigenbasis(phi: FlagAutomorphism, flag: WeightedFlag) -> NestedEigenbasis:
     """Eigenvector bases of every flag subspace, nested bottom-up.
 
@@ -214,12 +228,10 @@ def nested_eigenbasis(phi: FlagAutomorphism, flag: WeightedFlag) -> NestedEigenb
     phi is diagonalizable, so it preserves a subspace exactly when the
     eigenvectors inside the subspace span it, i.e. when the subspace's
     intersections with the eigenspaces have dimensions summing to its
-    own; a flag failing this at some level is rejected.
+    own; a flag failing this at some level is rejected.  ``descend``
+    counts the same dimensions by rank without building the vectors.
     """
-    if flag.field_order != phi.order:
-        raise ValueError("flag and automorphism must share the same field order")
-    if phi.dimension != flag.ambient_dim:
-        raise ValueError("automorphism dimension does not match the flag")
+    _check_pair(phi, flag)
     field = flag.field
     n = flag.ambient_dim
     ell = flag.length
@@ -254,19 +266,38 @@ class DescentResult:
 
 
 def descend(phi: FlagAutomorphism, flag: WeightedFlag, d: int) -> DescentResult:
+    """Split the flag along phi's eigenspaces, counting dimensions only.
+
+    By Grassmann's formula dim(V cap E) = dim V + dim E - dim(V + E), so
+    each (level, eigenvalue) pair costs one row reduction and no
+    eigenvector is built; ``nested_eigenbasis`` builds them.  A flag is
+    rejected exactly where ``nested_eigenbasis`` rejects it: when the
+    intersections at some level do not add up to that level's dimension.
+    """
     if d != phi.order:
         raise ValueError("descent degree must equal the automorphism order")
-    neb = nested_eigenbasis(phi, flag)
+    _check_pair(phi, flag)
+    field = flag.field
     ell = flag.length
-    counts = Counter((ev.exponent, level) for level, vecs in enumerate(neb.levels) for ev in vecs)
+    deeper = [flag.canonical_basis(level) for level in range(1, ell)]
+    # counts[e][k] = dim(V_k cap E_e), closed by the zero subspace
+    counts = {}
+    for exp, eig in enumerate(phi.eigenspaces):
+        if eig:
+            counts[exp] = [len(eig)] + [
+                len(v) + len(eig) - len(reduced_row_basis(field, v + eig)) for v in deeper
+            ] + [0]
+    if any(sum(c[k] for c in counts.values()) != flag.dims[k] for k in range(ell)):
+        raise ValueError("automorphism does not preserve the flag")
+    absent = [0] * (ell + 1)
     fibers: list[PointWeights | None] = []
     dims: list[int] = []
     rows: list[tuple[int, ...]] = []
     for j in range(1, d + 1):
-        exp = j % d
-        row = tuple(counts[exp, k] - counts[exp, k + 1] for k in range(ell))
+        c = counts.get(j % d, absent)
+        row = tuple(c[k] - c[k + 1] for k in range(ell))
         rows.append(row)
-        dims.append(counts[exp, 0])
+        dims.append(c[0])
         kept = [(flag.weights[k], row[k]) for k in range(ell) if row[k]]
         fibers.append(PointWeights(tuple(kept)) if kept else None)
     return DescentResult(tuple(fibers), tuple(dims), MultiplicityMatrix(tuple(rows)))
@@ -303,11 +334,13 @@ def check_parabolic_morphism(
     field = src.field
     strict = convention == "strict"
     for i, alpha in enumerate(src.weights):
-        images = [f.apply(v) for v in src.canonical_basis(i)]
+        images = None  # taken only once some target step triggers
         for j, beta in enumerate(dst.weights):
             triggered = alpha > beta if strict else alpha >= beta
             if not triggered:
                 continue
+            if images is None:
+                images = [f.apply(v) for v in src.canonical_basis(i)]
             target = dst.canonical_basis(j + 1) if j + 1 < dst.length else ()
             if not target:
                 if any(any(c for c in img) for img in images):

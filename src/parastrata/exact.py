@@ -34,6 +34,8 @@ from math import gcd, lcm
 
 def to_fraction(x) -> Fraction:
     """``Fraction(x)``, refusing binary floats: ``Fraction(0.1)`` is not 1/10."""
+    if type(x) is Fraction:
+        return x
     if isinstance(x, numbers.Real) and not isinstance(x, numbers.Rational):
         raise TypeError(f"inexact number {x!r}: pass an int, a Fraction or a string")
     return Fraction(x)

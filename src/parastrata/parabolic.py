@@ -9,7 +9,7 @@ multiplicity; the multiplicities at every point sum to the rank.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
@@ -22,10 +22,13 @@ class PointWeights:
 
     ``entries`` is a tuple of (weight, multiplicity) pairs with the
     weights strictly increasing inside [0, 1) and every multiplicity a
-    positive integer.
+    positive integer.  ``weights`` and ``multiplicities`` are its two
+    columns, stored once and left out of ``repr``, ``==`` and ``hash``.
     """
 
     entries: tuple[tuple[Fraction, int], ...]
+    weights: tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
+    multiplicities: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.entries:
@@ -41,6 +44,8 @@ class PointWeights:
             if prev is not None and w <= prev:
                 raise ValueError("weights must be strictly increasing")
             prev = w
+        object.__setattr__(self, "weights", tuple(w for w, _ in self.entries))
+        object.__setattr__(self, "multiplicities", tuple(m for _, m in self.entries))
 
     @staticmethod
     def of(weights, mults) -> "PointWeights":
@@ -53,14 +58,6 @@ class PointWeights:
     @property
     def length(self) -> int:
         return len(self.entries)
-
-    @property
-    def weights(self) -> tuple[Fraction, ...]:
-        return tuple(w for w, _ in self.entries)
-
-    @property
-    def multiplicities(self) -> tuple[int, ...]:
-        return tuple(m for _, m in self.entries)
 
     def total_multiplicity(self) -> int:
         return sum(m for _, m in self.entries)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as hs
 
 from parastrata import ModuliSpec, MultiplicityMatrix, PointWeights, codim_report, stratum_dimension
-from parastrata.cli import _codim_result, _compact_json, _report_json, echo_points, run_command
+from parastrata.cli import _codim_result, _compact_json, _report_json, echo_points, parse_fraction, run_command
 
 from test_acceptance import multiplicity_systems
 
@@ -287,6 +287,26 @@ def test_descend_error_messages_are_exact():
     ]
     for payload, message in cases:
         assert run_json(["descend"], payload) == (2, b"", message)
+
+
+def test_parse_fraction_matches_fraction():
+    big = "9" * 4000
+    for s in ["0", "+0", "-0", "0/7", "-0/3", "007", "+007/9", "-12/8", "3/1", "1/4",
+              big, "-" + big, big + "/7", "1/" + big, "-" + big + "/" + big]:
+        value = parse_fraction(s, "$")
+        assert type(value) is Fraction and value == Fraction(s), s
+
+
+def test_rational_strings_are_ascii_and_end_at_the_end():
+    """``$`` would accept a trailing newline and ``int`` any Unicode
+    digit; the contract's form is ASCII numerator/denominator only."""
+    for weight in ["1/4\n", "\u0661/4", "1/\u0664", "1_0/40", " 1/4", "1/04"]:
+        payload = {"g": 2, "r": 1, "points": [{"weights": [weight], "mults": [1]}]}
+        message = f"error: $.points[0].weights[0]: expected a rational string like \"3/4\", got {weight!r}\n"
+        assert run_json(["dim"], payload) == (2, b"", message.encode())
+    payload = {"g": 2, "r": 1, "points": [{"weights": ["1/" + "1" * 5000], "mults": [1]}]}
+    assert run_json(["dim"], payload) == (
+        2, b"", b"error: $.points[0].weights[0]: too many digits in a rational string\n")
 
 
 def test_malformed_json_exits_two():

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -130,7 +131,7 @@ def test_flag_preservation_matches_span_oracle():
     for i in range(120):
         d = 1 + i % 6
         r = 1 + (i // 6) % 4
-        phi, _ = random_flag_automorphism(rng, r, d)
+        phi, invariant_flag = random_flag_automorphism(rng, r, d)
         field = phi.matrix.field
         # mostly not invariant: nested prefixes of random integer rows
         q = random_invertible(rng, field, r, -2, 2)
@@ -145,6 +146,11 @@ def test_flag_preservation_matches_span_oracle():
         else:
             with pytest.raises(ValueError, match="^automorphism does not preserve the flag$"):
                 nested_eigenbasis(phi, flag)
+        # descend counts by rank and rejects the same flags, with the same message
+        other_field = WeightedFlag.of(d + 1, [[[1]]], [0])
+        wider = WeightedFlag.of(d, [ExactMatrix.identity(field, r + 1).iter_rows()], [0])
+        for f in (flag, invariant_flag, other_field, wider):
+            assert error_of(descend, phi, f, d) == error_of(nested_eigenbasis, phi, f)
     assert outcomes == {True, False}
 
 
@@ -461,3 +467,46 @@ def test_descend_full_datum_pushforward_when_uniform():
         pushed = pushforward(cov, datum)
         assert pushed.rank == r
         assert pushed.weights_at("p") == flag.point_weights()
+
+
+# --- descend's rank counts against the nested eigenbasis -------------------------
+
+
+def descent_from_nested_eigenbasis(phi, flag):
+    """Oracle: eigen_dims, matrix rows and fiber weights read off the
+    vectors of ``nested_eigenbasis``."""
+    neb = nested_eigenbasis(phi, flag)
+    d, ell = phi.order, flag.length
+    counts = Counter((ev.exponent, level) for level, vecs in enumerate(neb.levels) for ev in vecs)
+    rows = [tuple(counts[j % d, k] - counts[j % d, k + 1] for k in range(ell)) for j in range(1, d + 1)]
+    fibers = [
+        [(flag.weights[k], row[k]) for k in range(ell) if row[k]] or None for row in rows
+    ]
+    return tuple(counts[j % d, 0] for j in range(1, d + 1)), tuple(rows), fibers
+
+
+def nested_eigenbasis_cases():
+    rng = random.Random(5)  # the cases of test_nested_eigenbasis_repr_digest
+    for i in range(150):
+        yield random_flag_automorphism(rng, 1 + (i // 6) % 6, 1 + i % 6)
+    rng = random.Random(15)
+    for d in (15, 16, 18, 20, 24, 30):
+        for r in (1, 2, 3):
+            yield random_flag_automorphism(rng, r, d)
+
+
+def error_of(fn, *args):
+    try:
+        fn(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def test_descend_counts_match_nested_eigenbasis():
+    for phi, flag in nested_eigenbasis_cases():
+        res = descend(phi, flag, phi.order)
+        dims, rows, fibers = descent_from_nested_eigenbasis(phi, flag)
+        assert res.eigen_dims == dims
+        assert res.matrix.entries == rows
+        assert [pw and list(pw.entries) for pw in res.fiber_weights] == fibers

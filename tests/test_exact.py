@@ -17,7 +17,7 @@ from parastrata import (
     rref,
     solve,
 )
-from parastrata.exact import divisors
+from parastrata.exact import divisors, to_fraction
 from util import is_identity, matrix_power, ref_inverse, ref_mul
 
 
@@ -166,6 +166,22 @@ def test_from_rational_rejects_floats():
         with pytest.raises(TypeError):
             cyclotomic_field(order).from_rational(0.5)
     assert cyclotomic_field(1).from_rational("1/2") == Fraction(1, 2)
+
+
+def test_to_fraction_passes_fractions_and_refuses_floats():
+    f = Fraction(3, 4)
+    assert to_fraction(f) is f
+
+    class Half(Fraction):
+        pass
+
+    out = to_fraction(Half(1, 2))
+    assert type(out) is Fraction and out == Fraction(1, 2)
+    for x in (0.5, 1e300, float("inf")):
+        with pytest.raises(TypeError):
+            to_fraction(x)
+    assert to_fraction(3) == 3 and type(to_fraction(3)) is Fraction
+    assert to_fraction("-6/8") == Fraction(-3, 4)
 
 
 def test_element_rejects_floats():

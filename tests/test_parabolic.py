@@ -100,6 +100,18 @@ def test_point_weights_reject_float_weights():
     assert PointWeights.of(["1/10"], [1]).weights == (Fraction(1, 10),)
 
 
+def test_point_weights_views_are_stored_outside_repr_eq_and_hash():
+    a = pw(["1/4", "1/2"], [2, 1])
+    assert a.weights == (Fraction(1, 4), Fraction(1, 2))
+    assert a.multiplicities == (2, 1)
+    assert a.multiplicities is a.multiplicities
+    assert repr(a) == "PointWeights(entries=((Fraction(1, 4), 2), (Fraction(1, 2), 1)))"
+    b = PointWeights(a.entries)
+    assert a == b and hash(a) == hash(b) == hash((a.entries,))
+    with pytest.raises(AttributeError):
+        a.multiplicities = (3,)
+
+
 def test_datum_multiplicity_sum_checked():
     with pytest.raises(ValueError):
         ParabolicDatum.of(3, 0, {"p": pw(["1/2"], [2])})
