@@ -125,6 +125,14 @@ def preserves_flag(phi, subspaces):
     return True
 
 
+def error_of(fn, *args):
+    try:
+        fn(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
 def test_flag_preservation_matches_span_oracle():
     rng = random.Random(31)
     outcomes = set()
@@ -485,26 +493,12 @@ def descent_from_nested_eigenbasis(phi, flag):
     return tuple(counts[j % d, 0] for j in range(1, d + 1)), tuple(rows), fibers
 
 
-def nested_eigenbasis_cases():
-    rng = random.Random(5)  # the cases of test_nested_eigenbasis_repr_digest
-    for i in range(150):
-        yield random_flag_automorphism(rng, 1 + (i // 6) % 6, 1 + i % 6)
-    rng = random.Random(15)
-    for d in (15, 16, 18, 20, 24, 30):
-        for r in (1, 2, 3):
-            yield random_flag_automorphism(rng, r, d)
-
-
-def error_of(fn, *args):
-    try:
-        fn(*args)
-    except ValueError as exc:
-        return str(exc)
-    return None
-
-
 def test_descend_counts_match_nested_eigenbasis():
-    for phi, flag in nested_eigenbasis_cases():
+    rng = random.Random(5)  # the cases of test_nested_eigenbasis_repr_digest
+    cases = [random_flag_automorphism(rng, 1 + (i // 6) % 6, 1 + i % 6) for i in range(150)]
+    rng = random.Random(15)
+    cases += [random_flag_automorphism(rng, r, d) for d in (15, 16, 18, 20, 24, 30) for r in (1, 2, 3)]
+    for phi, flag in cases:
         res = descend(phi, flag, phi.order)
         dims, rows, fibers = descent_from_nested_eigenbasis(phi, flag)
         assert res.eigen_dims == dims
