@@ -282,7 +282,7 @@ def cmd_codim(payload) -> tuple[dict, dict]:
 # --- codim sweep -------------------------------------------------------------
 
 
-def _parse_range(doc, path: str) -> list[int]:
+def _parse_range(doc, path: str) -> list[int] | range:
     if isinstance(doc, list):
         out = [expect_int(v, f"{path}[{i}]") for i, v in enumerate(doc)]
         if not out:
@@ -294,7 +294,7 @@ def _parse_range(doc, path: str) -> list[int]:
     hi = expect_int(doc["max"], f"{path}.max")
     if hi < lo:
         raise ValidationError(path, "max must be >= min")
-    return list(range(lo, hi + 1))
+    return range(lo, hi + 1)
 
 
 def _compositions(total: int, parts: int):
@@ -337,14 +337,13 @@ def cmd_codim_sweep(payload) -> list[str]:
     ds = _parse_range(doc["d"], "$.d") if "d" in doc and doc["d"] is not None else None
     max_points = expect_int(doc.get("max_points", 2), "$.max_points", minimum=0)
     max_len = expect_int(doc.get("max_flag_length", 3), "$.max_flag_length", minimum=1)
-    if min(gs) < 2:
+    if gs[0] < 2:
         raise ValidationError("$.g", "genus values must be >= 2")
-    if min(rs) < 1:
+    if rs[0] < 1:
         raise ValidationError("$.r", "rank values must be >= 1")
     plan = []
     for r in rs:
-        divs = divisors(r)[1:]
-        d_list = [d for d in (ds or divs) if d in divs]
+        d_list = [d for d in divisors(r)[1:] if ds is None or d in ds]
         if d_list:
             plan.append((r, d_list, list(_sweep_systems(r, max_points, max_len))))
     lines = []
@@ -431,7 +430,6 @@ def cmd_descend(payload, convention: str) -> tuple[dict, dict]:
         phi = ef.FlagAutomorphism.of(order, rows)
         flag = ef.WeightedFlag.of(order, subspaces, weights)
         res = ef.descend(phi, flag, order)
-        morphism_ok = ef.check_parabolic_morphism(flag, flag, phi.matrix, convention)
     except ValueError as exc:
         raise ValidationError("$", str(exc)) from exc
     echo = {
@@ -450,7 +448,11 @@ def cmd_descend(payload, convention: str) -> tuple[dict, dict]:
         "fibers": fibers,
         "matrix": [list(row) for row in res.matrix.entries],
         "fixed_point_shape": ef.fixed_point_shape(res, flag.ambient_dim, order),
-        "flag_endomorphism": {"convention": convention, "holds": morphism_ok},
+        # descend accepted the flag, so the invertible phi maps each V_k
+        # onto itself: a strict trigger (i > j) asks phi(V_i) in V_{j+1},
+        # which contains V_i, and always holds; the non-strict trigger at
+        # i = j = l-1 asks phi(V_{l-1}) = 0, which never holds
+        "flag_endomorphism": {"convention": convention, "holds": convention == "strict"},
     }
     return echo, result
 
@@ -506,8 +508,7 @@ def cmd_flagcoh(payload, pic_rank_qg_flag: int | None) -> tuple[dict, dict]:
         "b2_mg": b2_mg,
     }
     factors = []
-    for ps, poly, rank_p in zip(parabolics, report.factors, report.pic_ranks):
-        levi = fc.levi_components(ctype, ps)
+    for ps, levi, poly, rank_p in zip(parabolics, report.levis, report.factors, report.pic_ranks):
         factors.append(
             {
                 "parabolic": [list(part) for part in ps.per_component],
@@ -517,7 +518,7 @@ def cmd_flagcoh(payload, pic_rank_qg_flag: int | None) -> tuple[dict, dict]:
             }
         )
     result = {
-        "weyl_order": fc.weyl_poincare(ctype).total(),
+        "weyl_order": report.weyl.total(),
         "factors": factors,
         "poincare_F": list(report.product.coefficients()),
         "b1_F": report.b1,

@@ -331,13 +331,14 @@ def levi_components(t: CartanType, I: ParabolicSubset) -> CartanType:
     return CartanType.of(pieces)
 
 
+def _flag_quotient(weyl: PoincarePolynomial, levi: CartanType) -> PoincarePolynomial:
+    return PoincarePolynomial(weyl.poly.exact_div(weyl_poincare(levi).poly))
+
+
 def flag_poincare(t: CartanType, I: ParabolicSubset) -> PoincarePolynomial:
     """Poincare polynomial of G/P: the Weyl polynomial divided exactly
     by the Weyl polynomial of the Levi."""
-    levi = levi_components(t, I)
-    numerator = weyl_poincare(t).poly
-    denominator = weyl_poincare(levi).poly
-    return PoincarePolynomial(numerator.exact_div(denominator))
+    return _flag_quotient(weyl_poincare(t), levi_components(t, I))
 
 
 def pic_rank_flag(t: CartanType, I: ParabolicSubset) -> int:
@@ -348,7 +349,9 @@ def pic_rank_flag(t: CartanType, I: ParabolicSubset) -> int:
 
 @dataclass(frozen=True)
 class KunnethReport:
-    """Second-Betti-number assembly for a product of flag varieties."""
+    """Second-Betti-number assembly for a product of flag varieties;
+    ``weyl`` is W(G)'s Poincare polynomial and ``levis[i]`` the Levi
+    type of the i-th parabolic, whose factor is their quotient."""
 
     factors: tuple[PoincarePolynomial, ...]
     product: PoincarePolynomial
@@ -358,6 +361,8 @@ class KunnethReport:
     b3: int
     rank_t: int
     assembled_b2: int
+    weyl: PoincarePolynomial
+    levis: tuple[CartanType, ...]
 
 
 def kunneth_report(
@@ -379,7 +384,9 @@ def kunneth_report(
         raise ValueError("ambient Picard rank must be a positive integer")
     if not isinstance(b2_mg, int) or b2_mg < 0:
         raise ValueError("moduli-side b2 must be a non-negative integer")
-    factors = tuple(flag_poincare(t, I) for I in parabolics)
+    weyl = weyl_poincare(t)
+    levis = tuple(levi_components(t, I) for I in parabolics)
+    factors = tuple(_flag_quotient(weyl, levi) for levi in levis)
     product = factors[0]
     for f in factors[1:]:
         product = product * f
@@ -396,4 +403,6 @@ def kunneth_report(
         b3=0,
         rank_t=pic_rank_qg + sum(ranks),
         assembled_b2=b2_mg + b2,
+        weyl=weyl,
+        levis=levis,
     )

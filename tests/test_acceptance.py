@@ -38,6 +38,7 @@ from parastrata import (
     pushforward,
     pushforward_point,
     kunneth_report,
+    levi_components,
     moduli_dimension,
     weyl_bfs_order,
     weyl_poincare,
@@ -318,6 +319,9 @@ def test_criterion_7_kunneth():
         assert rep.b2 == sum(ranks)
         assert rep.rank_t == pic_qg + sum(ranks)
         assert rep.assembled_b2 == b2_mg + sum(ranks)
+        assert rep.weyl == weyl_poincare(t)
+        assert rep.levis == tuple(levi_components(t, I) for I in parabolics)
+        assert rep.factors == tuple(flag_poincare(t, I) for I in parabolics)
     print("  20 randomized assemblies, every equality exact")
 
 

@@ -1,14 +1,31 @@
 import json
+import random
 import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as hs
 
-from parastrata import ModuliSpec, MultiplicityMatrix, PointWeights, codim_report, stratum_dimension
-from parastrata.cli import _codim_result, _compact_json, _report_json, echo_points, parse_fraction, run_command
+from parastrata import (
+    ModuliSpec,
+    MultiplicityMatrix,
+    PointWeights,
+    check_parabolic_morphism,
+    codim_report,
+    stratum_dimension,
+)
+from parastrata.cli import (
+    _codim_result,
+    _compact_json,
+    _report_json,
+    echo_points,
+    parse_fraction,
+    run_command,
+    scalar_json,
+)
 
 from test_acceptance import multiplicity_systems
+from util import random_flag_automorphism
 
 
 def run_json(argv, payload):
@@ -99,6 +116,56 @@ def test_descend_convention_flag():
         "convention": "non-strict",
         "holds": False,
     }
+
+
+def _descend_payload(phi, flag):
+    def rows(m):
+        return [[scalar_json(v) for v in row] for row in m.iter_rows()]
+
+    return {
+        "order": phi.order,
+        "automorphism": rows(phi.matrix),
+        "flag": {"weights": [str(w) for w in flag.weights], "subspaces": [rows(s) for s in flag.subspaces]},
+    }
+
+
+def test_descend_verdict_matches_check_parabolic_morphism():
+    """On every pair descend accepts, the morphism predicate holds
+    exactly under the strict convention, and the report says so."""
+    rng = random.Random(1111)
+    for i in range(72):
+        phi, flag = random_flag_automorphism(rng, 1 + (i // 6) % 6, 1 + i % 6, max_len=4)
+        payload = _descend_payload(phi, flag)
+        for convention in ("strict", "non-strict"):
+            holds = check_parabolic_morphism(flag, flag, phi.matrix, convention)
+            assert holds == (convention == "strict")
+            report = result_of(["descend", "--convention", convention], payload)
+            assert report["result"]["flag_endomorphism"] == {"convention": convention, "holds": holds}
+
+
+def _count_calls(monkeypatch, module, names):
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _fn=getattr(module, name), _name=name):
+            counts[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+def test_documented_reports_compute_each_fact_once(monkeypatch):
+    import parastrata.eigenflag as ef
+    import parastrata.flagcoh as fc
+
+    coh = _count_calls(monkeypatch, fc, ("weyl_poincare", "levi_components"))
+    checks = _count_calls(monkeypatch, ef, ("check_parabolic_morphism",))
+    result_of(["flagcoh"], FLAGCOH_EXAMPLE)
+    # W(G) once, then one Levi type and its Weyl polynomial per parabolic
+    assert coh == {"weyl_poincare": 3, "levi_components": 2}
+    for convention in ("strict", "non-strict"):
+        result_of(["descend", "--convention", convention], DESCEND_EXAMPLE)
+    assert checks == {"check_parabolic_morphism": 0}
 
 
 def test_flagcoh_subcommand():
@@ -222,6 +289,26 @@ def test_sweep_skips_ranks_without_proper_divisors():
         code, out3, err = run_json(["codim", "--sweep"], {**base, "r": [bad, 1, 2]})
         assert (code, out3) == (2, b"")
         assert err == b"error: $.r: rank values must be >= 1\n"
+
+
+def test_sweep_ranges_are_not_materialized():
+    """A {min, max} range is walked, not listed: a million-wide d range
+    gives the bytes of the one divisor it holds, and neither it nor a
+    million-wide g range over a rank without lines costs memory."""
+    _, expected, _ = run_json(["codim", "--sweep"], {"g": [2], "r": [2], "d": [2]})
+    wide = [
+        ({"g": [2], "r": [2], "d": {"min": 2, "max": 10**6}}, expected),
+        ({"g": {"min": 2, "max": 10**6}, "r": [1]}, b""),
+    ]
+    for payload, out in wide:
+        tracemalloc.start()
+        try:
+            result = run_json(["codim", "--sweep"], payload)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result == (0, out, b"")
+        assert peak < 4 * 2**20
 
 
 SWEEP_ORACLE_PAYLOADS = [
