@@ -19,6 +19,8 @@ from .exact import (
     charpoly,
     cyclotomic_field,
     cyclotomic_polynomial,
+    hessenberg,
+    hessenberg_charpoly,
     inverse,
     kernel,
     rank,

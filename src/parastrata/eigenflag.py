@@ -10,7 +10,6 @@ basis.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
@@ -18,8 +17,12 @@ from typing import NamedTuple, Sequence
 from .exact import (
     Cyclotomic,
     ExactMatrix,
-    charpoly,
+    _integral_row,
+    _residue_rank,
+    _root_exponents,
     cyclotomic_field,
+    hessenberg,
+    hessenberg_charpoly,
     kernel,
     reduced_row_basis,
     rref,
@@ -85,10 +88,12 @@ class WeightedFlag:
 
     The first subspace must be the whole ambient space; each subspace
     is given by a full-row-rank basis matrix over Q(zeta_d) and is
-    checked to contain the next one.
+    checked to contain the next one.  Both checks are ranks taken by
+    the fraction-free kernel on the basis rows cleared of denominators,
+    which the flag keeps for ``descend``.
     """
 
-    __slots__ = ("field_order", "subspaces", "weights", "field", "dims", "_canon")
+    __slots__ = ("field_order", "subspaces", "weights", "field", "dims", "_residues")
 
     def __init__(self, field_order: int, subspaces: Sequence[ExactMatrix], weights: Sequence[Fraction]):
         field = cyclotomic_field(field_order)
@@ -106,24 +111,24 @@ class WeightedFlag:
                 raise ValueError("weights must be strictly increasing")
             prev_w = w
         n = subspaces[0].cols
-        canon = []
-        dims = []
+        residues = []
         for sub in subspaces:
             if sub.field != field:
                 raise ValueError("subspace bases must live over the flag's cyclotomic field")
             if sub.cols != n:
                 raise ValueError("subspace bases must share the ambient dimension")
-            basis = reduced_row_basis(field, list(sub.iter_rows()))
-            if len(basis) != sub.rows:
+            rows = [_integral_row(row)[1] for row in sub.iter_rows()]
+            if _residue_rank(field, rows) != sub.rows:
                 raise ValueError("subspace basis rows are not independent")
-            canon.append(basis)
-            dims.append(len(basis))
+            residues.append(rows)
+        dims = [sub.rows for sub in subspaces]
         if dims[0] != n:
             raise ValueError("the first subspace must be the full ambient space")
-        for i in range(len(canon) - 1):
+        for i in range(len(dims) - 1):
             if dims[i + 1] >= dims[i]:
                 raise ValueError("subspace dimensions must strictly decrease")
-            if not _span_contains(field, canon[i], canon[i + 1]):
+            # V_i's rows are independent, so V_{i+1} adds no rank exactly when V_i contains it
+            if _residue_rank(field, residues[i] + residues[i + 1]) != dims[i]:
                 raise ValueError("each subspace must contain the next one")
         if dims[-1] < 1:
             raise ValueError("the last subspace must be nonzero")
@@ -132,7 +137,7 @@ class WeightedFlag:
         self.subspaces = subspaces
         self.weights = weights
         self.dims = tuple(dims)
-        self._canon = tuple(canon)
+        self._residues = tuple(residues)
 
     @staticmethod
     def of(field_order: int, subspaces: Sequence[Sequence[Sequence]], weights) -> "WeightedFlag":
@@ -149,8 +154,9 @@ class WeightedFlag:
         return len(self.subspaces)
 
     def canonical_basis(self, level: int) -> tuple[Vector, ...]:
-        """Canonical (reduced echelon) basis of the level-th subspace, 0-based."""
-        return self._canon[level]
+        """Canonical (reduced echelon) basis of the level-th subspace,
+        0-based, row reduced on each call."""
+        return reduced_row_basis(self.field, list(self.subspaces[level].iter_rows()))
 
     def point_weights(self) -> PointWeights:
         mults = [self.dims[i] - (self.dims[i + 1] if i + 1 < self.length else 0)
@@ -160,14 +166,17 @@ class WeightedFlag:
 
 class FlagAutomorphism:
     """Square matrix over Q(zeta_d) whose d-th power is the identity,
-    carried with ``eigenspaces[e]``, the canonical basis of its zeta_d**e
+    carried with ``nullities[e]``, the dimension of its zeta_d**e
     eigenspace.  They are its order check: x**d - 1 has d distinct roots
-    in characteristic 0, so phi**d = 1 exactly when they span the space.
-    A kernel is taken only where zeta_d**e is a root of the
-    characteristic polynomial; elsewhere the eigenspace is zero.
+    in characteristic 0, so phi**d = 1 exactly when they sum to n.
+
+    phi is brought to Hessenberg form H once; at each zeta_d**e that is
+    a root of the characteristic polynomial the nullity is
+    n - rank(H - zeta_d**e I), by the fraction-free rank kernel on H's
+    rows cleared of denominators, and elsewhere it is 0.
     """
 
-    __slots__ = ("matrix", "order", "eigenspaces")
+    __slots__ = ("matrix", "order", "nullities")
 
     def __init__(self, matrix: ExactMatrix, order: int):
         if matrix.rows != matrix.cols:
@@ -175,16 +184,30 @@ class FlagAutomorphism:
         field = cyclotomic_field(order)
         if matrix.field != field:
             raise ValueError("matrix must live over the order-d cyclotomic field")
-        top_down = charpoly(matrix)[::-1]
-        self.eigenspaces = tuple(
-            kernel(_shifted(matrix, z))
-            if not functools.reduce(lambda acc, c: acc * z + c, top_down) else ()
-            for z in map(field.zeta, range(order))
-        )
-        if sum(map(len, self.eigenspaces)) != matrix.rows:
+        h = hessenberg(matrix)
+        n = matrix.rows
+        scaled = [_integral_row(row) for row in h.iter_rows()]
+        nullities = [0] * order
+        for e in _root_exponents(field, hessenberg_charpoly(h)):
+            z = field.powers[e]
+            shifted = [row[:i] + [_less(row[i], [den * t for t in z])] + row[i + 1:]
+                       for i, (den, row) in enumerate(scaled)]
+            nullities[e] = n - _residue_rank(field, shifted)
+        self.nullities = tuple(nullities)
+        if sum(self.nullities) != n:
             raise ValueError(f"matrix to the power {order} is not the identity")
         self.matrix = matrix
         self.order = order
+
+    @property
+    def eigenspaces(self) -> tuple[tuple[Vector, ...], ...]:
+        """``eigenspaces[e]``, the canonical basis of the zeta_d**e
+        eigenspace, taken as a kernel on each access where the nullity
+        is nonzero.  ``nested_eigenbasis`` reads it; ``descend`` does not."""
+        zeta = self.matrix.field.zeta
+        return tuple(
+            kernel(_shifted(self.matrix, zeta(e))) if k else () for e, k in enumerate(self.nullities)
+        )
 
     @staticmethod
     def of(order: int, rows: Sequence[Sequence]) -> "FlagAutomorphism":
@@ -265,30 +288,72 @@ class DescentResult:
     matrix: MultiplicityMatrix
 
 
+def _less(x, y: list):
+    """x - y for integer residues, None standing for zero either way."""
+    out = [-t for t in y] if x is None else [u - t for u, t in zip(x, y)]
+    return out if any(out) else None
+
+
+def _image_residues(times, scaled, b) -> list:
+    """phi b in integer residues: entry i is D_i phi_i . b for phi's
+    rows cleared of denominators as ``scaled[i] = (D_i, residues)``."""
+    out = []
+    for _, row in scaled:
+        acc = None
+        for x, y in zip(row, b):
+            if x is not None and y is not None:
+                p = times(x, y)
+                acc = p if acc is None else [u + t for u, t in zip(acc, p)]
+        out.append(acc if acc is not None and any(acc) else None)
+    return out
+
+
 def descend(phi: FlagAutomorphism, flag: WeightedFlag, d: int) -> DescentResult:
     """Split the flag along phi's eigenspaces, counting dimensions only.
 
-    By Grassmann's formula dim(V cap E) = dim V + dim E - dim(V + E), so
-    each (level, eigenvalue) pair costs one row reduction and no
-    eigenvector is built; ``nested_eigenbasis`` builds them.  A flag is
-    rejected exactly where ``nested_eigenbasis`` rejects it: when the
-    intersections at some level do not add up to that level's dimension.
+    dim(V_k cap E_z) = |B_k| - rank{phi b - z b : b in B_k} for the
+    basis B_k of V_k, as for any linear map: it is the nullity of
+    phi - z restricted to V_k.  Each phi b is formed once per level in
+    integer residues (entry i scaled by the denominator lcm D_i of phi's
+    row i, a column scaling that keeps the rank), and each rank is taken
+    by the fraction-free kernel: no eigenvector, no canonical basis, no
+    field inverse.  phi is diagonalizable, so V_k is invariant exactly
+    when its counts add up to dim V_k; a flag failing this is rejected
+    exactly where ``nested_eigenbasis`` rejects it.  A count is not
+    taken where it must be 0: below a level whose count is 0, or once
+    the counts at a level reach its dimension, since the eigenspaces of
+    distinct eigenvalues are independent.
     """
     if d != phi.order:
         raise ValueError("descent degree must equal the automorphism order")
     _check_pair(phi, flag)
     field = flag.field
+    times, powers = field._times, field.powers
     ell = flag.length
-    deeper = [flag.canonical_basis(level) for level in range(1, ell)]
-    # counts[e][k] = dim(V_k cap E_e), closed by the zero subspace
-    counts = {}
-    for exp, eig in enumerate(phi.eigenspaces):
-        if eig:
-            counts[exp] = [len(eig)] + [
-                len(v) + len(eig) - len(reduced_row_basis(field, v + eig)) for v in deeper
-            ] + [0]
+    scaled = [_integral_row(row) for row in phi.matrix.iter_rows()]
+    # counts[e][k] = dim(V_k cap E_e); V_0 is the whole space
+    counts = {e: [k] for e, k in enumerate(phi.nullities) if k}
+    for level in range(1, ell):
+        basis = flag._residues[level]
+        images = [_image_residues(times, scaled, b) for b in basis]
+        left = flag.dims[level]
+        for e, c in counts.items():
+            if not (left and c[-1]):
+                c.append(0)
+                continue
+            z = powers[e]
+            shifted = []
+            for b, img in zip(basis, images):
+                shifted.append([
+                    x if y is None else _less(x, [den * t for t in times(z, y)])
+                    for (den, _), x, y in zip(scaled, img, b)
+                ])
+            c.append(len(basis) - _residue_rank(field, shifted))
+            left -= c[-1]
     if any(sum(c[k] for c in counts.values()) != flag.dims[k] for k in range(ell)):
         raise ValueError("automorphism does not preserve the flag")
+    for c in counts.values():
+        c.append(0)  # closed by the zero subspace
     absent = [0] * (ell + 1)
     fibers: list[PointWeights | None] = []
     dims: list[int] = []
@@ -333,6 +398,8 @@ def check_parabolic_morphism(
         raise ValueError("map shape does not match the flags")
     field = src.field
     strict = convention == "strict"
+    # target step j + 1 of every j, the step after the last one zero
+    targets = [dst.canonical_basis(j) for j in range(1, dst.length)] + [()]
     for i, alpha in enumerate(src.weights):
         images = None  # taken only once some target step triggers
         for j, beta in enumerate(dst.weights):
@@ -341,7 +408,7 @@ def check_parabolic_morphism(
                 continue
             if images is None:
                 images = [f.apply(v) for v in src.canonical_basis(i)]
-            target = dst.canonical_basis(j + 1) if j + 1 < dst.length else ()
+            target = targets[j]
             if not target:
                 if any(any(c for c in img) for img in images):
                     return False

@@ -14,13 +14,19 @@ Three scalar domains, all immutable and arbitrary precision:
 
 ``ExactMatrix`` carries a rectangular block of scalars from one
 ``CyclotomicField``; the rationals are ``RATIONALS = cyclotomic_field(1)``,
-whose elements equal and hash like the ``Fraction`` they hold.  The
-elimination routines (``rref``, ``rank``, ``kernel``, ``solve``,
-``inverse``) share one row reducer.  Pivoting is leftmost-first and
-pivots are normalized to one, so every output is deterministic.
-``charpoly`` gives the characteristic polynomial by Hessenberg
-reduction, so a caller can tell which eigenvalues occur before taking a
-kernel.  No floating point anywhere.
+whose elements equal and hash like the ``Fraction`` they hold.
+
+Ranks come from one fraction-free kernel, ``_residue_rank``, on rows of
+integer residues cleared of denominators: no inverse is taken and no
+``Cyclotomic`` is built.  ``rank`` uses it, and so does every check of
+``eigenflag.descend``: the automorphism's nullities, on its Hessenberg
+form (``hessenberg``, read off by ``hessenberg_charpoly``, whose roots
+among the powers of zeta ``_root_exponents`` finds), the flag's
+independence and containment, and the level counts.  ``rref``,
+``kernel``, ``reduced_row_basis``, ``solve`` and ``inverse`` share one
+row reducer that normalizes pivots to one, leftmost first, so their
+outputs are canonical; the tests' oracles use them.  No floating point
+anywhere.
 """
 
 from __future__ import annotations
@@ -415,8 +421,14 @@ class CyclotomicField:
         """The product of two integer residues, reduced."""
         if self.degree == 1:
             return [a[0] * b[0]]
-        conv = [0] * (2 * self.degree - 1)
         nonzero = [(j, y) for j, y in enumerate(b) if y]
+        if len(nonzero) == 1 and not nonzero[0][0]:  # b is rational
+            y = b[0]
+            return [x * y for x in a]
+        if not any(a[1:]):  # a is rational
+            x = a[0]
+            return [x * y for y in b]
+        conv = [0] * (2 * self.degree - 1)
         for i, x in enumerate(a):
             if x:
                 for j, y in nonzero:
@@ -646,10 +658,6 @@ def rref(m: ExactMatrix) -> tuple[ExactMatrix, tuple[int, ...]]:
     return ExactMatrix(m.field, m.rows, m.cols, flat), tuple(pivots)
 
 
-def rank(m: ExactMatrix) -> int:
-    return len(rref(m)[1])
-
-
 def reduced_row_basis(field, vectors) -> tuple[tuple, ...]:
     """Canonical (reduced echelon) basis of the span of the given rows."""
     rows = [list(v) for v in vectors]
@@ -716,17 +724,107 @@ def inverse(m: ExactMatrix) -> ExactMatrix:
     return ExactMatrix(field, n, n, flat)
 
 
-def charpoly(m: ExactMatrix) -> tuple:
-    """Coefficients of det(x I - m), constant term first; monic, of
-    length n + 1.
+def _integral_row(row) -> tuple[int, list]:
+    """``(D, residues)`` for a row of field elements: D is the lcm of
+    the row's denominators and ``residues[j]`` the integer residue of
+    D * row[j], or None where row[j] is zero."""
+    den = lcm(*(e.den for e in row))
+    return den, [
+        (e.num if e.den == den else [c * (den // e.den) for c in e.num]) if e else None
+        for e in row
+    ]
 
-    m is brought to upper Hessenberg form by similarity transforms, and
-    the polynomial read off by the recurrence over its leading principal
-    minors (Cohen, A Course in Computational Algebraic Number Theory,
-    1993, Alg. 2.2.9): O(n^3) field operations, one inverse per column.
+
+def _root_exponents(field, poly) -> list[int]:
+    """The exponents e in 0..d-1 at which zeta_d**e is a root of the
+    polynomial with coefficients ``poly`` in the field, constant term
+    first.  Evaluated in integer residues: zeta**(e k) times a residue
+    is a cyclic shift modulo x**d - 1, which the d-th cyclotomic
+    polynomial divides, so one reduction per exponent and no product."""
+    d = field.order
+    coeffs = list(enumerate(_integral_row(poly)[1]))
+    found = []
+    for e in range(d):
+        acc = [0] * d
+        for k, c in coeffs:
+            if c is not None:
+                s = e * k
+                for i, a in enumerate(c):
+                    acc[(s + i) % d] += a
+        if not any(field._reduce(acc)):
+            found.append(e)
+    return found
+
+
+def _residue_rank(field, rows) -> int:
+    """Rank over Q(zeta_d) of rows of integer residues, zero entries None.
+
+    Fraction-free elimination: a row holding x under the pivot a becomes
+    a * row - x * pivot, as in Bareiss (Math. Comp. 22, 1968), and the
+    gcd of its integers is divided out in place of his exact division
+    by the previous pivot, which over Z[zeta_d] would need an inverse.
+    No inverse is taken and no
+    ``Cyclotomic`` is built.  Scaling a row by a nonzero integer, or a
+    column by a nonzero constant, keeps the rank, so callers pass rows
+    cleared of denominators.  The rows are not modified.
+    """
+    times = field._times
+    rows = list(rows)
+    width = len(rows[0]) if rows else 0
+    found = 0
+    for c in range(width):
+        sel = next((i for i, r in enumerate(rows) if r[c] is not None), None)
+        if sel is None:
+            continue
+        pivot = rows.pop(sel)
+        found += 1
+        a = pivot[c]
+        tail = [(j, pivot[j]) for j in range(c + 1, width) if pivot[j] is not None]
+        kept = []
+        for r in rows:
+            x = r[c]
+            if x is None:
+                kept.append(r)
+                continue
+            new = [None] * width
+            for j in range(c + 1, width):
+                if r[j] is not None:
+                    new[j] = times(a, r[j])
+            for j, y in tail:
+                sub = times(x, y)
+                v = new[j]
+                new[j] = [-t for t in sub] if v is None else [u - t for u, t in zip(v, sub)]
+            g = 0
+            for v in new:
+                if v is not None:
+                    g = gcd(g, *v)
+            if g:
+                kept.append([
+                    None if v is None or not any(v) else v if g == 1 else [t // g for t in v]
+                    for v in new
+                ])
+        rows = kept
+        if not rows:
+            break
+    return found
+
+
+def rank(m: ExactMatrix) -> int:
+    """The rank of m, by the fraction-free kernel ``_residue_rank``."""
+    return _residue_rank(m.field, [_integral_row(r)[1] for r in m.iter_rows()])
+
+
+def hessenberg(m: ExactMatrix) -> ExactMatrix:
+    """An upper Hessenberg matrix H = T m T^-1 similar to m.
+
+    Cohen, A Course in Computational Algebraic Number Theory, 1993,
+    Alg. 2.2.9: elimination below the subdiagonal, each step undone on
+    the columns so that the result stays similar; one inverse per
+    column.  Similar matrices share their rank after any shift by a
+    scalar, so rank(m - z I) = rank(H - z I).
     """
     if m.rows != m.cols:
-        raise ValueError("characteristic polynomial of a non-square matrix")
+        raise ValueError("Hessenberg form of a non-square matrix")
     n = m.rows
     h = [list(m.row(i)) for i in range(n)]
     for c in range(n - 2):
@@ -746,22 +844,43 @@ def charpoly(m: ExactMatrix) -> tuple:
                 for row in h:
                     if row[i]:
                         row[s] = row[s] + u * row[i]
-    zero, one = m.field.zero, m.field.one
+    return ExactMatrix(m.field, n, n, [e for row in h for e in row])
+
+
+def hessenberg_charpoly(h: ExactMatrix) -> tuple:
+    """Coefficients of det(x I - h) for an upper Hessenberg h, constant
+    term first; monic, of length n + 1.
+
+    Read off by the recurrence over the leading principal minors
+    (Cohen 1993, Alg. 2.2.9), with no inverse.
+    """
+    n = h.rows
+    zero, one = h.field.zero, h.field.one
     polys = [[one]]
     for k in range(n):
         # p_{k+1} = (x - h_kk) p_k - sum_{r<k} h_rk h_{r+1,r} ... h_{k,k-1} p_r
         prev = polys[-1]
         p = [zero] + prev
+        hkk = h.entry(k, k)
         for t, c in enumerate(prev):
-            p[t] = p[t] - h[k][k] * c
+            p[t] = p[t] - hkk * c
         t_acc = one
         for r in range(k - 1, -1, -1):
-            t_acc = t_acc * h[r + 1][r]
+            t_acc = t_acc * h.entry(r + 1, r)
             if not t_acc:
                 break
-            coef = t_acc * h[r][k]
+            coef = t_acc * h.entry(r, k)
             if coef:
                 for t, c in enumerate(polys[r]):
                     p[t] = p[t] - coef * c
         polys.append(p)
     return tuple(polys[n])
+
+
+def charpoly(m: ExactMatrix) -> tuple:
+    """Coefficients of det(x I - m), constant term first; monic, of
+    length n + 1: ``hessenberg_charpoly(hessenberg(m))``, O(n^3) field
+    operations and one inverse per column."""
+    if m.rows != m.cols:
+        raise ValueError("characteristic polynomial of a non-square matrix")
+    return hessenberg_charpoly(hessenberg(m))

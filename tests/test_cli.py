@@ -25,7 +25,7 @@ from parastrata.cli import (
 )
 
 from test_acceptance import multiplicity_systems
-from util import random_flag_automorphism
+from util import benchmark_gen, random_flag_automorphism
 
 
 def run_json(argv, payload):
@@ -166,6 +166,29 @@ def test_documented_reports_compute_each_fact_once(monkeypatch):
     for convention in ("strict", "non-strict"):
         result_of(["descend", "--convention", convention], DESCEND_EXAMPLE)
     assert checks == {"check_parabolic_morphism": 0}
+
+
+def test_descend_decides_by_rank_alone(monkeypatch):
+    """descend checks order, independence, containment and invariance by
+    the fraction-free rank kernel: README's example and the benchmark's
+    seed-0 descend requests reach no kernel, no rref, no canonical basis
+    and not the row reducer behind them, and invert field elements only
+    in the Hessenberg reduction, at most n - 2 times per request."""
+    import parastrata.eigenflag as ef
+    import parastrata.exact as ex
+
+    names = ("kernel", "rref", "reduced_row_basis")
+    calls = [_count_calls(monkeypatch, ef, names), _count_calls(monkeypatch, ex, names + ("_rref_in_place",))]
+    inverses = _count_calls(monkeypatch, ex.Cyclotomic, ("inverse",))
+    rounds, warmup = benchmark_gen(monkeypatch).streams("descend", 0)
+    requests = [(["descend", "--convention", c], DESCEND_EXAMPLE) for c in ("strict", "non-strict")]
+    requests += [(req.argv, req.payload) for req in warmup + next(rounds)]
+    budget = 0
+    for argv, payload in requests:
+        result_of(argv, payload)
+        budget += max(len(payload["automorphism"]) - 2, 0)
+    assert all(n == 0 for counts in calls for n in counts.values()), calls
+    assert 0 < inverses["inverse"] <= budget
 
 
 def test_flagcoh_subcommand():

@@ -265,6 +265,31 @@ def test_nested_eigenbasis_repr_digest():
     assert digest.hexdigest() == "85c20e1d4d274849d2b7729bbc564d85bc12a38cbcf86b542d7fe8c4c918bfd1"
 
 
+def test_check_parabolic_morphism_takes_each_canonical_basis_once(monkeypatch):
+    """Canonical bases are row reduced on demand, so the predicate takes
+    each step's basis once per call however many weight pairs trigger."""
+    taken = Counter()
+    original = WeightedFlag.canonical_basis
+
+    def counted(flag, level):
+        taken[id(flag), level] += 1
+        return original(flag, level)
+
+    monkeypatch.setattr(WeightedFlag, "canonical_basis", counted)
+    rng = random.Random(43)
+    checked = 0
+    while checked < 12:
+        phi, flag = random_flag_automorphism(rng, rng.randint(3, 5), rng.randint(1, 4), max_len=4)
+        if flag.length < 3:
+            continue
+        target = WeightedFlag(flag.field_order, flag.subspaces, flag.weights)
+        taken.clear()
+        # phi preserves the flag, so no strict trigger fails and every pair is checked
+        assert check_parabolic_morphism(flag, target, phi.matrix, "strict")
+        assert max(taken.values()) == 1
+        checked += 1
+
+
 # --- descent ---------------------------------------------------------------------
 
 
@@ -496,8 +521,14 @@ def descent_from_nested_eigenbasis(phi, flag):
 def test_descend_counts_match_nested_eigenbasis():
     rng = random.Random(5)  # the cases of test_nested_eigenbasis_repr_digest
     cases = [random_flag_automorphism(rng, 1 + (i // 6) % 6, 1 + i % 6) for i in range(150)]
+    for phi, _ in cases:
+        # the Hessenberg ranks against the kernels the oracle reads
+        assert phi.nullities == tuple(map(len, phi.eigenspaces))
     rng = random.Random(15)
     cases += [random_flag_automorphism(rng, r, d) for d in (15, 16, 18, 20, 24, 30) for r in (1, 2, 3)]
+    # full rank 8 over fields of degree 8: coefficients grow here if anywhere
+    rng = random.Random(16)
+    cases += [random_flag_automorphism(rng, 8, d, max_len=4) for d in (15, 16, 24, 30)]
     for phi, flag in cases:
         res = descend(phi, flag, phi.order)
         dims, rows, fibers = descent_from_nested_eigenbasis(phi, flag)

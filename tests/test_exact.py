@@ -3,6 +3,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as hs
 
 from parastrata import (
     RATIONALS,
@@ -11,6 +12,8 @@ from parastrata import (
     charpoly,
     cyclotomic_field,
     cyclotomic_polynomial,
+    hessenberg,
+    hessenberg_charpoly,
     inverse,
     kernel,
     rank,
@@ -18,7 +21,7 @@ from parastrata import (
     solve,
 )
 from parastrata.exact import divisors, to_fraction
-from util import is_identity, matrix_power, ref_inverse, ref_mul
+from util import is_identity, matrix_power, random_flag_automorphism, ref_inverse, ref_mul
 
 
 # --- independent oracles -----------------------------------------------------
@@ -330,6 +333,72 @@ def test_matrix_power_and_rank():
     assert is_identity(matrix_power(m, 4))
     assert not is_identity(matrix_power(m, 2))
     assert rank(m) == 2
+
+
+# --- the fraction-free rank kernel ---------------------------------------------
+
+RANK_ORDERS = (1, 2, 3, 4, 5, 6, 8, 12, 15, 30)
+
+
+@hs.composite
+def low_rank_matrices(draw):
+    """A B with A rows x k and B k x cols, so of rank at most k, with
+    entries over rational denominators, some zero; then some rows,
+    columns and single entries set to zero."""
+    field = cyclotomic_field(draw(hs.sampled_from(RANK_ORDERS)))
+    rows, cols = draw(hs.integers(1, 5)), draw(hs.integers(1, 5))
+    k = draw(hs.integers(0, min(rows, cols)))
+    coeff = hs.fractions(min_value=-3, max_value=3, max_denominator=4)
+    scalar = hs.one_of(
+        hs.just(field.zero),
+        hs.lists(coeff, min_size=1, max_size=field.degree).map(field.element),
+    )
+    a = ExactMatrix(field, rows, k, draw(hs.lists(scalar, min_size=rows * k, max_size=rows * k)))
+    b = ExactMatrix(field, k, cols, draw(hs.lists(scalar, min_size=k * cols, max_size=k * cols)))
+    m = a * b
+    zero_rows = draw(hs.sets(hs.integers(0, rows - 1), max_size=rows))
+    zero_cols = draw(hs.sets(hs.integers(0, cols - 1), max_size=cols))
+    holes = draw(hs.sets(hs.tuples(hs.integers(0, rows - 1), hs.integers(0, cols - 1))))
+    entries = [field.zero if i in zero_rows or j in zero_cols or (i, j) in holes else m.entry(i, j)
+               for i in range(rows) for j in range(cols)]
+    return ExactMatrix(field, rows, cols, entries)
+
+
+@settings(max_examples=200, database=None, derandomize=True, deadline=None)
+@given(low_rank_matrices())
+def test_rank_kernel_matches_rref(m):
+    assert rank(m) == len(rref(m)[1])
+
+
+def test_rank_kernel_edge_shapes():
+    f = cyclotomic_field(5)
+    assert rank(ExactMatrix.zeros(f, 0, 0)) == 0
+    assert rank(ExactMatrix.zeros(f, 3, 4)) == 0
+    assert rank(ExactMatrix.identity(f, 4)) == 4
+    z = f.zeta()
+    # rows proportional over Q(zeta_5) but not over Q
+    assert rank(ExactMatrix.from_rows(f, [[1, z], [z, z * z]])) == 1
+    assert rank(ExactMatrix.from_rows(f, [[1, z], [z, 1]])) == 2
+
+
+def test_hessenberg_rank_matches_matrix_rank():
+    """H = hessenberg(phi) is upper Hessenberg, shares phi's
+    characteristic polynomial, and rank(H - z I) = rank(phi - z I) at
+    every d-th root of unity z: the ranks behind FlagAutomorphism's
+    nullities, against rref on phi itself."""
+    rng = random.Random(41)
+    for d in (1, 2, 3, 4, 5, 6, 8, 12, 15, 30):
+        field = cyclotomic_field(d)
+        for _ in range(3):
+            phi = random_flag_automorphism(rng, rng.randint(1, 6), d)[0].matrix
+            n = phi.rows
+            h = hessenberg(phi)
+            assert all(not h.entry(i, j) for i in range(n) for j in range(i - 1))
+            assert hessenberg_charpoly(h) == charpoly(phi)
+            ident = ExactMatrix.identity(field, n)
+            for e in range(d):
+                z = ident.scaled(field.zeta(e))
+                assert rank(h - z) == len(rref(phi - z)[1])
 
 
 # --- integer-numerator arithmetic against the Fraction reference ---------------

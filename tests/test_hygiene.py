@@ -4,13 +4,14 @@ outputs are also reproduced here, byte for byte."""
 
 import ast
 import hashlib
-import importlib.util
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from util import benchmark_gen
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "parastrata").glob("*.py"))
@@ -60,11 +61,7 @@ def test_benchmark_round_zero_matches_golden_digest(workload, monkeypatch):
     seed 0 must hash to the digest the benchmark checks against."""
     from parastrata.cli import run_command
 
-    spec = importlib.util.spec_from_file_location("perfbench_gen", ROOT / "perfbench" / "gen.py")
-    gen = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, gen)  # dataclasses look their module up
-    spec.loader.exec_module(gen)
-    rounds, _ = gen.streams(workload, 0)
+    rounds, _ = benchmark_gen(monkeypatch).streams(workload, 0)
     digest = hashlib.sha256()
     for req in next(rounds):
         code, out, err = run_command(req.argv, req.stdin)

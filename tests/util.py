@@ -1,9 +1,13 @@
 """Shared helpers for the test suite: seeded random generators for
 parabolic data, covers, and finite-order flag automorphisms; matrix
 powers; and a reference arithmetic for Q(zeta_d) on ``Fraction``
-coefficients (schoolbook product, extended-Euclid inverse)."""
+coefficients (schoolbook product, extended-Euclid inverse); and the
+benchmark's input generator, loaded as a module."""
 
+import importlib.util
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 from parastrata import (
     CoverSpec,
@@ -16,6 +20,17 @@ from parastrata import (
     inverse,
     rank,
 )
+
+
+def benchmark_gen(monkeypatch):
+    """``perfbench/gen.py``, which makes the benchmark's inputs from a
+    seed, imported under a name registered for the test's duration."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, gen)  # dataclasses look their module up
+    spec.loader.exec_module(gen)
+    return gen
 
 
 def random_weights(rng, length, max_den=12):
