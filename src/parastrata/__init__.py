@@ -20,7 +20,6 @@ from .exact import (
     cyclotomic_field,
     cyclotomic_polynomial,
     hessenberg,
-    hessenberg_charpoly,
     inverse,
     kernel,
     rank,

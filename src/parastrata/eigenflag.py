@@ -17,14 +17,13 @@ from typing import NamedTuple, Sequence
 from .exact import (
     Cyclotomic,
     ExactMatrix,
-    _integral_row,
-    _residue_rank,
-    _root_exponents,
+    ResidueMap,
     cyclotomic_field,
-    hessenberg,
-    hessenberg_charpoly,
+    eigen_nullities,
     kernel,
     reduced_row_basis,
+    residue_rank,
+    residue_rows,
     rref,
     to_fraction,
 )
@@ -117,8 +116,8 @@ class WeightedFlag:
                 raise ValueError("subspace bases must live over the flag's cyclotomic field")
             if sub.cols != n:
                 raise ValueError("subspace bases must share the ambient dimension")
-            rows = [_integral_row(row)[1] for row in sub.iter_rows()]
-            if _residue_rank(field, rows) != sub.rows:
+            rows = residue_rows(sub)
+            if residue_rank(field, rows) != sub.rows:
                 raise ValueError("subspace basis rows are not independent")
             residues.append(rows)
         dims = [sub.rows for sub in subspaces]
@@ -128,7 +127,7 @@ class WeightedFlag:
             if dims[i + 1] >= dims[i]:
                 raise ValueError("subspace dimensions must strictly decrease")
             # V_i's rows are independent, so V_{i+1} adds no rank exactly when V_i contains it
-            if _residue_rank(field, residues[i] + residues[i + 1]) != dims[i]:
+            if residue_rank(field, residues[i] + residues[i + 1]) != dims[i]:
                 raise ValueError("each subspace must contain the next one")
         if dims[-1] < 1:
             raise ValueError("the last subspace must be nonzero")
@@ -170,10 +169,9 @@ class FlagAutomorphism:
     eigenspace.  They are its order check: x**d - 1 has d distinct roots
     in characteristic 0, so phi**d = 1 exactly when they sum to n.
 
-    phi is brought to Hessenberg form H once; at each zeta_d**e that is
-    a root of the characteristic polynomial the nullity is
-    n - rank(H - zeta_d**e I), by the fraction-free rank kernel on H's
-    rows cleared of denominators, and elsewhere it is 0.
+    ``exact.eigen_nullities`` takes them as n - rank(phi - zeta_d**e I)
+    by the fraction-free rank kernel, at the roots of the characteristic
+    polynomial only.
     """
 
     __slots__ = ("matrix", "order", "nullities")
@@ -184,17 +182,8 @@ class FlagAutomorphism:
         field = cyclotomic_field(order)
         if matrix.field != field:
             raise ValueError("matrix must live over the order-d cyclotomic field")
-        h = hessenberg(matrix)
-        n = matrix.rows
-        scaled = [_integral_row(row) for row in h.iter_rows()]
-        nullities = [0] * order
-        for e in _root_exponents(field, hessenberg_charpoly(h)):
-            z = field.powers[e]
-            shifted = [row[:i] + [_less(row[i], [den * t for t in z])] + row[i + 1:]
-                       for i, (den, row) in enumerate(scaled)]
-            nullities[e] = n - _residue_rank(field, shifted)
-        self.nullities = tuple(nullities)
-        if sum(self.nullities) != n:
+        self.nullities = eigen_nullities(matrix)
+        if sum(self.nullities) != matrix.rows:
             raise ValueError(f"matrix to the power {order} is not the identity")
         self.matrix = matrix
         self.order = order
@@ -259,13 +248,14 @@ def nested_eigenbasis(phi: FlagAutomorphism, flag: WeightedFlag) -> NestedEigenb
     n = flag.ambient_dim
     ell = flag.length
     levels: list[list[EigenVector]] = [[] for _ in range(ell)]
+    bases = [None] + [flag.canonical_basis(level) for level in range(1, ell)]
     for exp, eig in enumerate(phi.eigenspaces):
         if not eig:
             continue
         zeta = field.zeta(exp)
         chain: list[Vector] = []
         for level in range(ell - 1, -1, -1):
-            inter = _intersect(field, eig, flag.canonical_basis(level), n) if level else eig
+            inter = _intersect(field, eig, bases[level], n) if level else eig
             chain = _extend_basis(field, chain, inter) if chain else list(inter)
             levels[level].extend(EigenVector(v, exp, zeta) for v in chain)
     if any(len(levels[i]) != flag.dims[i] for i in range(ell)):
@@ -288,35 +278,14 @@ class DescentResult:
     matrix: MultiplicityMatrix
 
 
-def _less(x, y: list):
-    """x - y for integer residues, None standing for zero either way."""
-    out = [-t for t in y] if x is None else [u - t for u, t in zip(x, y)]
-    return out if any(out) else None
-
-
-def _image_residues(times, scaled, b) -> list:
-    """phi b in integer residues: entry i is D_i phi_i . b for phi's
-    rows cleared of denominators as ``scaled[i] = (D_i, residues)``."""
-    out = []
-    for _, row in scaled:
-        acc = None
-        for x, y in zip(row, b):
-            if x is not None and y is not None:
-                p = times(x, y)
-                acc = p if acc is None else [u + t for u, t in zip(acc, p)]
-        out.append(acc if acc is not None and any(acc) else None)
-    return out
-
-
 def descend(phi: FlagAutomorphism, flag: WeightedFlag, d: int) -> DescentResult:
     """Split the flag along phi's eigenspaces, counting dimensions only.
 
     dim(V_k cap E_z) = |B_k| - rank{phi b - z b : b in B_k} for the
     basis B_k of V_k, as for any linear map: it is the nullity of
     phi - z restricted to V_k.  Each phi b is formed once per level in
-    integer residues (entry i scaled by the denominator lcm D_i of phi's
-    row i, a column scaling that keeps the rank), and each rank is taken
-    by the fraction-free kernel: no eigenvector, no canonical basis, no
+    integer residues by ``exact.ResidueMap``, and each rank is taken by
+    the fraction-free kernel: no eigenvector, no canonical basis, no
     field inverse.  phi is diagonalizable, so V_k is invariant exactly
     when its counts add up to dim V_k; a flag failing this is rejected
     exactly where ``nested_eigenbasis`` rejects it.  A count is not
@@ -327,28 +296,18 @@ def descend(phi: FlagAutomorphism, flag: WeightedFlag, d: int) -> DescentResult:
     if d != phi.order:
         raise ValueError("descent degree must equal the automorphism order")
     _check_pair(phi, flag)
-    field = flag.field
-    times, powers = field._times, field.powers
     ell = flag.length
-    scaled = [_integral_row(row) for row in phi.matrix.iter_rows()]
+    phi_map = ResidueMap(phi.matrix)
     # counts[e][k] = dim(V_k cap E_e); V_0 is the whole space
     counts = {e: [k] for e, k in enumerate(phi.nullities) if k}
     for level in range(1, ell):
-        basis = flag._residues[level]
-        images = [_image_residues(times, scaled, b) for b in basis]
+        nullity = phi_map.restricted(flag._residues[level])
         left = flag.dims[level]
         for e, c in counts.items():
             if not (left and c[-1]):
                 c.append(0)
                 continue
-            z = powers[e]
-            shifted = []
-            for b, img in zip(basis, images):
-                shifted.append([
-                    x if y is None else _less(x, [den * t for t in times(z, y)])
-                    for (den, _), x, y in zip(scaled, img, b)
-                ])
-            c.append(len(basis) - _residue_rank(field, shifted))
+            c.append(nullity(e))
             left -= c[-1]
     if any(sum(c[k] for c in counts.values()) != flag.dims[k] for k in range(ell)):
         raise ValueError("automorphism does not preserve the flag")

@@ -16,17 +16,20 @@ Three scalar domains, all immutable and arbitrary precision:
 ``CyclotomicField``; the rationals are ``RATIONALS = cyclotomic_field(1)``,
 whose elements equal and hash like the ``Fraction`` they hold.
 
-Ranks come from one fraction-free kernel, ``_residue_rank``, on rows of
-integer residues cleared of denominators: no inverse is taken and no
-``Cyclotomic`` is built.  ``rank`` uses it, and so does every check of
-``eigenflag.descend``: the automorphism's nullities, on its Hessenberg
-form (``hessenberg``, read off by ``hessenberg_charpoly``, whose roots
-among the powers of zeta ``_root_exponents`` finds), the flag's
-independence and containment, and the level counts.  ``rref``,
-``kernel``, ``reduced_row_basis``, ``solve`` and ``inverse`` share one
-row reducer that normalizes pivots to one, leftmost first, so their
-outputs are canonical; the tests' oracles use them.  No floating point
-anywhere.
+Ranks come from one fraction-free kernel, ``residue_rank``, on rows of
+integer residues cleared of denominators (``residue_rows``): Bareiss
+elimination in which the previous pivot's other Galois conjugates and
+the integer content stand in for the division by that pivot, so no
+inverse is taken and no ``Cyclotomic`` is built.  ``rank`` uses it, and
+so does every check of ``eigenflag.descend``: the flag's independence
+and containment, the automorphism's eigenspace dimensions
+(``eigen_nullities``, only at roots of the characteristic polynomial
+that ``hessenberg`` leads to), and the level counts (``ResidueMap``,
+which also keeps the shift by a root of unity in the residue format).
+``rref``, ``kernel``, ``reduced_row_basis``, ``solve`` and ``inverse``
+share one row reducer that normalizes pivots to one, leftmost first, so
+their outputs are canonical; the tests' oracles use them.  No floating
+point anywhere.
 """
 
 from __future__ import annotations
@@ -305,11 +308,7 @@ class Cyclotomic:
         if field.degree == 1:
             n = num[0]
             return Cyclotomic(field, (den if n > 0 else -den,), abs(n))
-        cofactor = None
-        for j in field.units[1:]:
-            conj = field._conjugate(num, j)
-            cofactor = conj if cofactor is None else field._times(cofactor, conj)
-        norm = field._times(num, cofactor)[0]
+        cofactor, norm = field._cofactor(num)
         if norm < 0:
             norm, den = -norm, -den
         return _lowest(field, [c * den for c in cofactor], norm)
@@ -445,6 +444,18 @@ class CyclotomicField:
                     if c:
                         out[t] += a * c
         return out
+
+    def _cofactor(self, num: tuple[int, ...]) -> tuple[list[int], int]:
+        """``(c, N)`` with num * c = N: c is the product of the Galois
+        conjugates of num other than num itself, and N, its norm, is a
+        nonzero integer when num is nonzero."""
+        if self.degree == 1:
+            return [1], num[0]
+        cofactor = None
+        for j in self.units[1:]:
+            conj = self._conjugate(num, j)
+            cofactor = conj if cofactor is None else self._times(cofactor, conj)
+        return cofactor, self._times(num, cofactor)[0]
 
     def _rational(self, x) -> Cyclotomic:
         return Cyclotomic(self, (x.numerator,) + self._pad, x.denominator)
@@ -735,83 +746,165 @@ def _integral_row(row) -> tuple[int, list]:
     ]
 
 
-def _root_exponents(field, poly) -> list[int]:
-    """The exponents e in 0..d-1 at which zeta_d**e is a root of the
-    polynomial with coefficients ``poly`` in the field, constant term
-    first.  Evaluated in integer residues: zeta**(e k) times a residue
-    is a cyclic shift modulo x**d - 1, which the d-th cyclotomic
-    polynomial divides, so one reduction per exponent and no product."""
-    d = field.order
-    coeffs = list(enumerate(_integral_row(poly)[1]))
-    found = []
-    for e in range(d):
-        acc = [0] * d
-        for k, c in coeffs:
-            if c is not None:
-                s = e * k
-                for i, a in enumerate(c):
-                    acc[(s + i) % d] += a
-        if not any(field._reduce(acc)):
-            found.append(e)
-    return found
+def residue_rows(m: ExactMatrix) -> list[list]:
+    """m's rows for ``residue_rank``: each row times the lcm of its
+    denominators, as integer residues, with None for a zero entry.
+    Scaling a row by a nonzero integer keeps the row space."""
+    return [_integral_row(row)[1] for row in m.iter_rows()]
 
 
-def _residue_rank(field, rows) -> int:
-    """Rank over Q(zeta_d) of rows of integer residues, zero entries None.
+def _minus(x, y: list):
+    """x - y for integer residues, None standing for zero either way."""
+    out = [-t for t in y] if x is None else [u - t for u, t in zip(x, y)]
+    return out if any(out) else None
 
-    Fraction-free elimination: a row holding x under the pivot a becomes
-    a * row - x * pivot, as in Bareiss (Math. Comp. 22, 1968), and the
-    gcd of its integers is divided out in place of his exact division
-    by the previous pivot, which over Z[zeta_d] would need an inverse.
-    No inverse is taken and no
-    ``Cyclotomic`` is built.  Scaling a row by a nonzero integer, or a
-    column by a nonzero constant, keeps the rank, so callers pass rows
-    cleared of denominators.  The rows are not modified.
+
+def residue_rank(field, rows) -> int:
+    """Rank over Q(zeta_d) of rows of integer residues, zero entries
+    None, as ``residue_rows`` gives them.  The rows are not modified.
+
+    Fraction-free elimination after Bareiss (Math. Comp. 22, 1968): a
+    row holding x under the pivot a becomes a * row - x * pivot, which
+    Bareiss divides exactly by the pivot p of the step before.  Here it
+    is multiplied by p's other Galois conjugates instead
+    (``CyclotomicField._cofactor``), which turns that divisor into p's
+    norm, an integer, and then the row's integer content is divided
+    out; that takes the norm and every other integer factor.  Each row
+    thus stays an integer multiple of Bareiss's row, whose entries are
+    minors of the input, and no inverse is taken and no ``Cyclotomic``
+    built.  Every step scales a row by a nonzero element of the field
+    or subtracts a multiple of another row, so the rank is kept.
+
+    A row with nothing under a pivot is left as it is: Bareiss would
+    multiply it by a / p, and those factors telescope, so the row keeps
+    the step it was last reduced at and is multiplied by the conjugates
+    of the pivot before that step when next reduced; a pivot row is
+    brought up to date first.  A row reduced for the first time needs
+    no conjugates, nor does a rational p, whose factor is an integer
+    that the content takes: on a Hessenberg matrix, whose rows are each
+    reduced once, and over Q, rows are only made primitive.
     """
     times = field._times
-    rows = list(rows)
-    width = len(rows[0]) if rows else 0
-    found = 0
+    conjugates: dict = {}  # s -> those of the pivot of step s - 1, None if rational
+
+    def primitive(row, s):
+        """The row times the conjugates of the pivot before step s, its
+        integer content divided out; None if it is zero."""
+        if s:
+            if s not in conjugates:
+                p = pivots[s - 1]
+                conjugates[s] = field._cofactor(p)[0] if any(p[1:]) else None
+            c = conjugates[s]
+            if c is not None:
+                row = [None if v is None else times(v, c) for v in row]
+        g = 0
+        for v in row:
+            if v is not None:
+                g = gcd(g, *v)
+        if not g:
+            return None
+        return row if g == 1 else [None if v is None else [t // g for t in v] for v in row]
+
+    work = [(0, r) for r in rows]  # (steps the row is reduced to, row)
+    width = len(work[0][1]) if work else 0
+    pivots: list = []
     for c in range(width):
-        sel = next((i for i, r in enumerate(rows) if r[c] is not None), None)
+        sel = next((i for i, (_, r) in enumerate(work) if r[c] is not None), None)
         if sel is None:
             continue
-        pivot = rows.pop(sel)
-        found += 1
+        s, pivot = work.pop(sel)
+        if s < len(pivots):  # Bareiss's row: times the last pivot over the one before step s
+            p = pivots[-1]
+            if any(p[1:]):
+                pivot = [None if v is None else times(p, v) for v in pivot]
+            pivot = primitive(pivot, s)
         a = pivot[c]
+        pivots.append(a)
+        k = len(pivots)
         tail = [(j, pivot[j]) for j in range(c + 1, width) if pivot[j] is not None]
         kept = []
-        for r in rows:
+        for s, r in work:
             x = r[c]
             if x is None:
-                kept.append(r)
+                kept.append((s, r))
                 continue
             new = [None] * width
             for j in range(c + 1, width):
                 if r[j] is not None:
                     new[j] = times(a, r[j])
             for j, y in tail:
-                sub = times(x, y)
-                v = new[j]
-                new[j] = [-t for t in sub] if v is None else [u - t for u, t in zip(v, sub)]
-            g = 0
-            for v in new:
-                if v is not None:
-                    g = gcd(g, *v)
-            if g:
-                kept.append([
-                    None if v is None or not any(v) else v if g == 1 else [t // g for t in v]
-                    for v in new
-                ])
-        rows = kept
-        if not rows:
+                new[j] = _minus(new[j], times(x, y))
+            new = primitive(new, s)
+            if new is not None:
+                kept.append((k, new))
+        work = kept
+        if not work:
             break
-    return found
+    return len(pivots)
 
 
 def rank(m: ExactMatrix) -> int:
-    """The rank of m, by the fraction-free kernel ``_residue_rank``."""
-    return _residue_rank(m.field, [_integral_row(r)[1] for r in m.iter_rows()])
+    """The rank of m, by the fraction-free kernel ``residue_rank``."""
+    return residue_rank(m.field, residue_rows(m))
+
+
+class ResidueMap:
+    """A square matrix m over Q(zeta_d) prepared for the ranks of
+    m - zeta_d**e: row i times the lcm D_i of its denominators, as
+    integer residues.  The shift by zeta_d**e is then D_i zeta_d**e in
+    row i, and these row scalings keep every rank below."""
+
+    __slots__ = ("field", "dens", "rows")
+
+    def __init__(self, m: ExactMatrix):
+        if m.rows != m.cols:
+            raise ValueError("a residue map needs a square matrix")
+        self.field = m.field
+        self.dens, self.rows = zip(*map(_integral_row, m.iter_rows())) if m.rows else ((), ())
+
+    def bits(self) -> int:
+        """The total length in bits of the integers held."""
+        return sum(abs(t).bit_length() for row in self.rows for v in row if v is not None for t in v)
+
+    def _shift(self, e: int) -> list[list[int]]:
+        z = self.field.powers[e % self.field.order]
+        return [[den * t for t in z] for den in self.dens]
+
+    def nullity(self, e: int) -> int:
+        """n - rank(m - zeta_d**e I), the shift on the diagonal only."""
+        shifted = [row[:i] + [_minus(row[i], z)] + row[i + 1:]
+                   for i, (row, z) in enumerate(zip(self.rows, self._shift(e)))]
+        return len(shifted) - residue_rank(self.field, shifted)
+
+    def restricted(self, vectors):
+        """e -> dim(span(vectors) cap ker(m - zeta_d**e)) for independent
+        rows b of integer residues (``residue_rows``), counted as
+        |vectors| - rank{m b - zeta_d**e b}: the nullity of m - zeta_d**e
+        restricted to their span, for any m.  Each m b is formed once,
+        entry i scaled by D_i, which scales a column and keeps the rank."""
+        field = self.field
+        times = field._times
+        images = []
+        for b in vectors:
+            img = []
+            for row in self.rows:
+                acc = None
+                for x, y in zip(row, b):
+                    if x is not None and y is not None:
+                        p = times(x, y)
+                        acc = p if acc is None else [u + t for u, t in zip(acc, p)]
+                img.append(acc if acc is not None and any(acc) else None)
+            images.append(img)
+
+        def nullity(e: int) -> int:
+            shift = self._shift(e)
+            shifted = [
+                [x if y is None else _minus(x, times(z, y)) for x, y, z in zip(img, b, shift)]
+                for b, img in zip(vectors, images)
+            ]
+            return len(shifted) - residue_rank(field, shifted)
+
+        return nullity
 
 
 def hessenberg(m: ExactMatrix) -> ExactMatrix:
@@ -847,7 +940,7 @@ def hessenberg(m: ExactMatrix) -> ExactMatrix:
     return ExactMatrix(m.field, n, n, [e for row in h for e in row])
 
 
-def hessenberg_charpoly(h: ExactMatrix) -> tuple:
+def _hessenberg_charpoly(h: ExactMatrix) -> tuple:
     """Coefficients of det(x I - h) for an upper Hessenberg h, constant
     term first; monic, of length n + 1.
 
@@ -879,8 +972,48 @@ def hessenberg_charpoly(h: ExactMatrix) -> tuple:
 
 def charpoly(m: ExactMatrix) -> tuple:
     """Coefficients of det(x I - m), constant term first; monic, of
-    length n + 1: ``hessenberg_charpoly(hessenberg(m))``, O(n^3) field
-    operations and one inverse per column."""
+    length n + 1, read off ``hessenberg(m)``: O(n^3) field operations
+    and one inverse per column."""
     if m.rows != m.cols:
         raise ValueError("characteristic polynomial of a non-square matrix")
-    return hessenberg_charpoly(hessenberg(m))
+    return _hessenberg_charpoly(hessenberg(m))
+
+
+def _root_exponents(field, poly) -> list[int]:
+    """The exponents e in 0..d-1 at which zeta_d**e is a root of the
+    polynomial with coefficients ``poly`` in the field, constant term
+    first.  Evaluated in integer residues: zeta**(e k) times a residue
+    is a cyclic shift modulo x**d - 1, which the d-th cyclotomic
+    polynomial divides, so one reduction per exponent and no product."""
+    d = field.order
+    coeffs = list(enumerate(_integral_row(poly)[1]))
+    found = []
+    for e in range(d):
+        acc = [0] * d
+        for k, c in coeffs:
+            if c is not None:
+                s = e * k
+                for i, a in enumerate(c):
+                    acc[(s + i) % d] += a
+        if not any(field._reduce(acc)):
+            found.append(e)
+    return found
+
+
+def eigen_nullities(m: ExactMatrix) -> tuple[int, ...]:
+    """``nullities[e] = n - rank(m - zeta_d**e I)`` for e in 0..d-1, d
+    the order of m's field: the dimensions of m's eigenspaces at the
+    d-th roots of unity.  Taken only where zeta_d**e is a root of the
+    characteristic polynomial, read off the Hessenberg form H of m;
+    elsewhere the nullity is 0.  H has the ranks of m, and a step of the
+    rank kernel reduces one of its rows, so the ranks are taken on H
+    unless its integer residues are longer than m's: the similarity
+    transform can swell them when m has denominators."""
+    h = hessenberg(m)
+    nullities = [0] * m.field.order
+    roots = _root_exponents(m.field, _hessenberg_charpoly(h))
+    if roots:
+        shifts = min(ResidueMap(h), ResidueMap(m), key=ResidueMap.bits)
+        for e in roots:
+            nullities[e] = shifts.nullity(e)
+    return tuple(nullities)

@@ -7,13 +7,13 @@ from hypothesis import given, settings, strategies as hs
 
 from parastrata import (
     RATIONALS,
+    CyclotomicField,
     ExactMatrix,
     IntPolynomial,
     charpoly,
     cyclotomic_field,
     cyclotomic_polynomial,
     hessenberg,
-    hessenberg_charpoly,
     inverse,
     kernel,
     rank,
@@ -381,6 +381,32 @@ def test_rank_kernel_edge_shapes():
     assert rank(ExactMatrix.from_rows(f, [[1, z], [z, 1]])) == 2
 
 
+def test_rank_kernel_integers_grow_as_minors(monkeypatch):
+    """The kernel's rows stay integer multiples of Bareiss's rows, whose
+    entries are minors: on dense matrices with coefficients in [-2, 2]
+    no product it forms exceeds 400 bits.  Dividing out integer
+    contents alone leaves a pivot's factor in every row at each step,
+    and the products reach 1000 bits at 10 x 10 over Q(zeta_7) and 2700
+    at 12 x 12 over Q(zeta_5)."""
+    longest = [0]
+    times = CyclotomicField._times
+
+    def measured(field, a, b):
+        out = times(field, a, b)
+        longest[0] = max(longest[0], *(abs(t).bit_length() for t in out))
+        return out
+
+    monkeypatch.setattr(CyclotomicField, "_times", measured)
+    for d, n in ((7, 10), (5, 12)):
+        f = cyclotomic_field(d)
+        rng = random.Random(d)
+        m = ExactMatrix.from_rows(f, [[f.element([rng.randint(-2, 2) for _ in range(f.degree)])
+                                       for _ in range(n)] for _ in range(n)])
+        longest[0] = 0
+        assert rank(m) == n
+        assert longest[0] <= 400
+
+
 def test_hessenberg_rank_matches_matrix_rank():
     """H = hessenberg(phi) is upper Hessenberg, shares phi's
     characteristic polynomial, and rank(H - z I) = rank(phi - z I) at
@@ -394,7 +420,7 @@ def test_hessenberg_rank_matches_matrix_rank():
             n = phi.rows
             h = hessenberg(phi)
             assert all(not h.entry(i, j) for i in range(n) for j in range(i - 1))
-            assert hessenberg_charpoly(h) == charpoly(phi)
+            assert charpoly(h) == charpoly(phi)
             ident = ExactMatrix.identity(field, n)
             for e in range(d):
                 z = ident.scaled(field.zeta(e))
