@@ -160,11 +160,16 @@ def scalar_json(value) -> object:
     return [frac_str(c) for c in value.coeffs]
 
 
-def parse_matrix(doc, path: str, field) -> list[list]:
+def parse_matrix(doc, path: str, field, scalars: dict) -> tuple[list[list], list[list]]:
+    """The matrix's entries and their echo.  ``scalars`` belongs to one
+    request: it maps a raw scalar already met there, a string or a
+    tuple of coefficient strings, to its ``(element, echo)``, so each
+    distinct one is parsed and echoed once.  Other JSON values are not
+    keys: ``1``, ``1.0`` and ``true`` hash alike but do not parse alike."""
     arr = expect_array(doc, path)
     if not arr:
         raise ValidationError(path, "matrix must be nonempty")
-    rows = []
+    rows, echo = [], []
     width = None
     for i, row in enumerate(arr):
         row = expect_array(row, f"{path}[{i}]")
@@ -172,10 +177,27 @@ def parse_matrix(doc, path: str, field) -> list[list]:
             width = len(row)
         elif len(row) != width:
             raise ValidationError(f"{path}[{i}]", "ragged matrix")
-        rows.append([parse_scalar(v, f"{path}[{i}][{j}]", field) for j, v in enumerate(row)])
+        values, echoes = [], []
+        for j, x in enumerate(row):
+            if type(x) is str:
+                key = x
+            elif type(x) is list and all(type(c) is str for c in x):
+                key = tuple(x)
+            else:
+                key = None
+            parsed = scalars.get(key)
+            if parsed is None:
+                value = parse_scalar(x, f"{path}[{i}][{j}]", field)
+                parsed = (value, scalar_json(value))
+                if key is not None:
+                    scalars[key] = parsed
+            values.append(parsed[0])
+            echoes.append(parsed[1])
+        rows.append(values)
+        echo.append(echoes)
     if width == 0:
         raise ValidationError(path, "matrix rows must be nonempty")
-    return rows
+    return rows, echo
 
 
 # --- subcommand handlers ----------------------------------------------------
@@ -419,13 +441,18 @@ def cmd_descend(payload, convention: str) -> tuple[dict, dict]:
     expect_keys(doc, "$", ("order", "automorphism", "flag"))
     order = expect_int(doc["order"], "$.order", minimum=1)
     field = cyclotomic_field(order)
-    rows = parse_matrix(doc["automorphism"], "$.automorphism", field)
+    scalars: dict = {}
+    rows, rows_echo = parse_matrix(doc["automorphism"], "$.automorphism", field, scalars)
     fdoc = expect_object(doc["flag"], "$.flag")
     expect_keys(fdoc, "$.flag", ("weights", "subspaces"))
     wts = expect_array(fdoc["weights"], "$.flag.weights")
     weights = [parse_fraction(w, f"$.flag.weights[{i}]") for i, w in enumerate(wts)]
     sdocs = expect_array(fdoc["subspaces"], "$.flag.subspaces")
-    subspaces = [parse_matrix(s, f"$.flag.subspaces[{i}]", field) for i, s in enumerate(sdocs)]
+    subspaces, subspaces_echo = [], []
+    for i, sdoc in enumerate(sdocs):
+        sub, sub_echo = parse_matrix(sdoc, f"$.flag.subspaces[{i}]", field, scalars)
+        subspaces.append(sub)
+        subspaces_echo.append(sub_echo)
     try:
         phi = ef.FlagAutomorphism.of(order, rows)
         flag = ef.WeightedFlag.of(order, subspaces, weights)
@@ -434,11 +461,8 @@ def cmd_descend(payload, convention: str) -> tuple[dict, dict]:
         raise ValidationError("$", str(exc)) from exc
     echo = {
         "order": order,
-        "automorphism": [[scalar_json(v) for v in row] for row in rows],
-        "flag": {
-            "weights": [frac_str(w) for w in weights],
-            "subspaces": [[[scalar_json(v) for v in row] for row in sub] for sub in subspaces],
-        },
+        "automorphism": rows_echo,
+        "flag": {"weights": [frac_str(w) for w in weights], "subspaces": subspaces_echo},
     }
     fibers = []
     for j, (pw, dim) in enumerate(zip(res.fiber_weights, res.eigen_dims), start=1):

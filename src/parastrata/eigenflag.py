@@ -89,7 +89,8 @@ class WeightedFlag:
     is given by a full-row-rank basis matrix over Q(zeta_d) and is
     checked to contain the next one.  Both checks are ranks taken by
     the fraction-free kernel on the basis rows cleared of denominators,
-    which the flag keeps for ``descend``.
+    which the flag keeps for ``descend``.  The first containment needs
+    no rank: n independent rows of length n span the whole space.
     """
 
     __slots__ = ("field_order", "subspaces", "weights", "field", "dims", "_residues")
@@ -126,8 +127,9 @@ class WeightedFlag:
         for i in range(len(dims) - 1):
             if dims[i + 1] >= dims[i]:
                 raise ValueError("subspace dimensions must strictly decrease")
-            # V_i's rows are independent, so V_{i+1} adds no rank exactly when V_i contains it
-            if residue_rank(field, residues[i] + residues[i + 1]) != dims[i]:
+            # V_0 is the whole space; V_i's rows are independent, so
+            # V_{i+1} adds no rank exactly when V_i contains it
+            if i and residue_rank(field, residues[i] + residues[i + 1]) != dims[i]:
                 raise ValueError("each subspace must contain the next one")
         if dims[-1] < 1:
             raise ValueError("the last subspace must be nonzero")
@@ -169,9 +171,12 @@ class FlagAutomorphism:
     eigenspace.  They are its order check: x**d - 1 has d distinct roots
     in characteristic 0, so phi**d = 1 exactly when they sum to n.
 
-    ``exact.eigen_nullities`` takes them as n - rank(phi - zeta_d**e I)
-    by the fraction-free rank kernel, at the roots of the characteristic
-    polynomial only.
+    ``exact.eigen_nullities`` reads them off the characteristic
+    polynomial where its root zeta_d**e is simple (nullity 1), and takes
+    n - rank(phi - zeta_d**e I) by the fraction-free rank kernel only at
+    a repeated root.  A matrix that is not diagonalizable has a repeated
+    root whose nullity falls short of its multiplicity, so it fails the
+    check there.
     """
 
     __slots__ = ("matrix", "order", "nullities")

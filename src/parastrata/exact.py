@@ -23,9 +23,10 @@ the integer content stand in for the division by that pivot, so no
 inverse is taken and no ``Cyclotomic`` is built.  ``rank`` uses it, and
 so does every check of ``eigenflag.descend``: the flag's independence
 and containment, the automorphism's eigenspace dimensions
-(``eigen_nullities``, only at roots of the characteristic polynomial
-that ``hessenberg`` leads to), and the level counts (``ResidueMap``,
-which also keeps the shift by a root of unity in the residue format).
+(``eigen_nullities``: read off the characteristic polynomial that
+``hessenberg`` leads to, one at a simple root, and ranked only at a
+repeated root), and the level counts (``ResidueMap``, which also keeps
+the shift by a root of unity in the residue format).
 ``rref``, ``kernel``, ``reduced_row_basis``, ``solve`` and ``inverse``
 share one row reducer that normalizes pivots to one, leftmost first, so
 their outputs are canonical; the tests' oracles use them.  No floating
@@ -979,41 +980,52 @@ def charpoly(m: ExactMatrix) -> tuple:
     return _hessenberg_charpoly(hessenberg(m))
 
 
-def _root_exponents(field, poly) -> list[int]:
-    """The exponents e in 0..d-1 at which zeta_d**e is a root of the
-    polynomial with coefficients ``poly`` in the field, constant term
-    first.  Evaluated in integer residues: zeta**(e k) times a residue
-    is a cyclic shift modulo x**d - 1, which the d-th cyclotomic
-    polynomial divides, so one reduction per exponent and no product."""
+def _root_exponents(field, poly) -> list[tuple[int, bool]]:
+    """``(e, repeated)`` for each exponent e in 0..d-1 at which zeta_d**e
+    is a root of the polynomial with coefficients ``poly`` in the field,
+    constant term first; ``repeated`` says whether the derivative
+    vanishes there too, that is whether (x - zeta_d**e)**2 divides the
+    polynomial.  Evaluated in integer residues: zeta**(e k) times a
+    residue is a cyclic shift modulo x**d - 1, which the d-th
+    cyclotomic polynomial divides, so one reduction per evaluation and
+    no product; the derivative's term k c_k x**(k-1) is k c_k shifted
+    by e (k - 1)."""
     d = field.order
-    coeffs = list(enumerate(_integral_row(poly)[1]))
-    found = []
-    for e in range(d):
+    terms = [(k, c) for k, c in enumerate(_integral_row(poly)[1]) if c is not None]
+    derivative = [(k - 1, [k * a for a in c]) for k, c in terms if k]
+
+    def vanishes(pairs, e: int) -> bool:
         acc = [0] * d
-        for k, c in coeffs:
-            if c is not None:
-                s = e * k
-                for i, a in enumerate(c):
-                    acc[(s + i) % d] += a
-        if not any(field._reduce(acc)):
-            found.append(e)
-    return found
+        for k, c in pairs:
+            s = e * k
+            for i, a in enumerate(c):
+                acc[(s + i) % d] += a
+        return not any(field._reduce(acc))
+
+    return [(e, vanishes(derivative, e)) for e in range(d) if vanishes(terms, e)]
 
 
 def eigen_nullities(m: ExactMatrix) -> tuple[int, ...]:
     """``nullities[e] = n - rank(m - zeta_d**e I)`` for e in 0..d-1, d
     the order of m's field: the dimensions of m's eigenspaces at the
-    d-th roots of unity.  Taken only where zeta_d**e is a root of the
-    characteristic polynomial, read off the Hessenberg form H of m;
-    elsewhere the nullity is 0.  H has the ranks of m, and a step of the
-    rank kernel reduces one of its rows, so the ranks are taken on H
-    unless its integer residues are longer than m's: the similarity
-    transform can swell them when m has denominators."""
+    d-th roots of unity.  Zero where zeta_d**e is not a root of the
+    characteristic polynomial, read off the Hessenberg form H of m, and
+    one at a simple root, since 1 <= geometric multiplicity <= algebraic
+    multiplicity for any matrix; a rank is taken only at a repeated
+    root.  H has the ranks of m, and a step of the rank kernel reduces
+    one of its rows, so those ranks are taken on H unless its integer
+    residues are longer than m's: the similarity transform can swell
+    them when m has denominators."""
     h = hessenberg(m)
     nullities = [0] * m.field.order
-    roots = _root_exponents(m.field, _hessenberg_charpoly(h))
-    if roots:
+    repeated = []
+    for e, twice in _root_exponents(m.field, _hessenberg_charpoly(h)):
+        if twice:
+            repeated.append(e)
+        else:
+            nullities[e] = 1
+    if repeated:
         shifts = min(ResidueMap(h), ResidueMap(m), key=ResidueMap.bits)
-        for e in roots:
+        for e in repeated:
             nullities[e] = shifts.nullity(e)
     return tuple(nullities)

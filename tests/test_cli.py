@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import tracemalloc
@@ -573,3 +574,293 @@ def test_surrogate_pair_and_escaped_backslash_are_echoed():
         assert text in report["input"]["datum"]["points"]
         assert out == (expected_report(report) + "\n").encode()
         assert run_command(["pushforward"], json.dumps(report["input"]).encode())[1] == out
+
+
+# phi = diag(zeta_3, 1) and the flag V_0 = <(1, 0), (1/2, 1)> > V_1 = <(1, 0)>,
+# written in non-canonical forms that repeat across the request
+NONCANONICAL_DESCEND = {
+    "order": 3,
+    "automorphism": [[["0", "1"], "-0"], ["-0", ["1", "0"]]],
+    "flag": {
+        "weights": ["-0", "2/4"],
+        "subspaces": [[["+1", "-0"], ["2/4", ["1", "0"]]], [["+1", ["-0"]]]],
+    },
+}
+
+
+def test_descend_echoes_repeated_scalars_canonically():
+    """Each distinct raw scalar of a request is parsed and echoed once;
+    repeats, in any form, echo as the canonical string of their value."""
+    report = result_of(["descend"], NONCANONICAL_DESCEND)
+    assert report["input"] == {
+        "order": 3,
+        "automorphism": [[["0", "1"], "0"], ["0", "1"]],
+        "flag": {"weights": ["0", "1/2"], "subspaces": [[["1", "0"], ["1/2", "1"]], [["1", "0"]]]},
+    }
+    assert report["result"]["matrix"] == [[0, 1], [0, 0], [1, 0]]
+    code, out, _ = run_json(["descend"], report["input"])
+    assert code == 0 and json.loads(out) == report
+
+
+def test_repeated_bad_scalar_fails_at_its_first_path():
+    for order, bad, first, message in [
+        (2, "x", "$.automorphism[0][1]", "expected a rational string like \"3/4\", got 'x'"),
+        (3, ["1", "x"], "$.automorphism[0][1][1]", "expected a rational string like \"3/4\", got 'x'"),
+        (3, ["1", "0", "0"], "$.automorphism[0][1]", "at most 2 power-basis coefficients allowed"),
+    ]:
+        payload = {
+            "order": order,
+            "automorphism": [["1", bad], [bad, "1"]],
+            "flag": {"weights": ["0"], "subspaces": [[["1", bad], ["0", "1"]]]},
+        }
+        assert run_json(["descend"], payload) == (2, b"", f"error: {first}: {message}\n".encode())
+
+
+def test_scalars_are_parsed_per_request():
+    """The same strings in requests over Q and over Q(zeta_3) give each
+    request its own field's elements, in either order."""
+    flag = {"weights": ["0"], "subspaces": [[["1", "0"], ["0", "1"]]]}
+    swap = {"order": 2, "automorphism": [["0", "1"], ["1", "0"]], "flag": flag}
+    rotate = {"order": 3, "automorphism": [[["0", "1"], "0"], ["0", "1"]], "flag": flag}
+    first = [run_json(["descend"], payload) for payload in (swap, rotate)]
+    assert [code for code, _, _ in first] == [0, 0]
+    assert json.loads(first[1][1])["result"]["matrix"] == [[1], [0], [1]]
+    assert [run_json(["descend"], payload) for payload in (rotate, swap)] == first[::-1]
+    assert run_json(["descend"], dict(swap, order=3)) == (
+        2, b"", b"error: $: matrix to the power 3 is not the identity\n")
+
+
+# --- descend corpus: bytes pinned across changes to the descend path ------------
+
+
+def _scalars(matrix):
+    return [(row, j) for row in matrix for j in range(len(row))]
+
+
+def _noncanonical(s):
+    """The same scalar in non-canonical strings: "-0", "+k", "2k/2", "2a/2b"."""
+    if isinstance(s, list):
+        return [_noncanonical(c) for c in s]
+    if not isinstance(s, str):
+        return s
+    if s == "0":
+        return "-0"
+    if "/" in s:
+        num, den = s.split("/")
+        return f"{2 * int(num)}/{2 * int(den)}"
+    return f"{2 * int(s)}/2" if s.startswith("-") else "+" + s
+
+
+def _rewrite(payload, fn):
+    for m in [payload["automorphism"], *payload["flag"]["subspaces"]]:
+        for row, j in _scalars(m):
+            row[j] = fn(row[j])
+    return payload
+
+
+def _random_row(rng, n):
+    return [str(rng.randint(-3, 3)) for _ in range(n)]
+
+
+def _mutations():
+    """Seeded edits of a valid descend payload, each returning the edited
+    payload or None where it does not apply; together they reach every
+    message of the descend path."""
+
+    def entry(p, rng):
+        row, j = rng.choice(_scalars(p["automorphism"]))
+        row[j] = str(rng.choice([-2, -1, 1, 2, 3]))
+        return p
+
+    def drop_row(p, rng):
+        p["automorphism"].pop()
+        return p
+
+    def ragged(p, rng):
+        p["automorphism"][-1].append("0")
+        return p if len(p["automorphism"]) > 1 else None
+
+    def floating(p, rng):
+        row, j = rng.choice(_scalars(p["automorphism"]))
+        row[j] = 0.5
+        return p
+
+    def bad_twice(p, rng):
+        cells = _scalars(p["automorphism"])
+        if len(cells) < 2:
+            return None
+        for i in rng.sample(range(len(cells)), 2):
+            row, j = cells[i]
+            row[j] = "1/0"
+        return p
+
+    def too_many_coefficients(p, rng):
+        row, j = rng.choice(_scalars(p["automorphism"]))
+        row[j] = ["1"] * 9
+        return p
+
+    def too_many_digits(p, rng):
+        row, j = rng.choice(_scalars(p["flag"]["subspaces"][-1]))
+        row[j] = "1/" + "1" * 5000
+        return p
+
+    def noncanonical(p, rng):
+        return _rewrite(p, _noncanonical)
+
+    def as_lists(p, rng):
+        return _rewrite(p, lambda s: [s, "0"] if isinstance(s, str) and p["order"] > 2 else s)
+
+    def as_ints(p, rng):
+        return _rewrite(p, lambda s: int(s) if isinstance(s, str) and "/" not in s else s)
+
+    def int_then_bool(p, rng):  # True == 1 and hash(True) == hash(1)
+        as_ints(p, rng)["flag"]["subspaces"][-1][-1][-1] = True
+        return p
+
+    def int_then_float(p, rng):  # 1.0 == 1 and hash(1.0) == hash(1)
+        as_ints(p, rng)["flag"]["subspaces"][-1][-1][-1] = 1.0
+        return p
+
+    def weights_reversed(p, rng):
+        p["flag"]["weights"].reverse()
+        return p if len(p["flag"]["weights"]) > 1 else None
+
+    def weight_one(p, rng):
+        p["flag"]["weights"][-1] = "1"
+        return p
+
+    def drop_weight(p, rng):
+        p["flag"]["weights"].pop()
+        return p
+
+    def no_subspaces(p, rng):
+        p["flag"] = {"weights": [], "subspaces": []}
+        return p
+
+    def narrow_last(p, rng):
+        subs = p["flag"]["subspaces"]
+        for row in subs[-1]:
+            row.pop()
+        return p if len(subs) > 1 and len(subs[-1][0]) else None
+
+    def grow_phi(p, rng):
+        m = p["automorphism"]
+        for row in m:
+            row.append("0")
+        m.append(["0"] * (len(m[0]) - 1) + ["1"])
+        return p
+
+    def dependent(p, rng):
+        subs = [s for s in p["flag"]["subspaces"] if len(s) > 1]
+        if not subs:
+            return None
+        s = rng.choice(subs)
+        s[-1] = list(s[0])
+        return p
+
+    def not_full(p, rng):
+        if len(p["flag"]["subspaces"]) < 2:
+            return None
+        p["flag"]["subspaces"].pop(0)
+        p["flag"]["weights"].pop(0)
+        return p
+
+    def repeat_level(p, rng):
+        p["flag"]["subspaces"].append(json.loads(json.dumps(p["flag"]["subspaces"][-1])))
+        p["flag"]["weights"].append("99/100")
+        return p
+
+    def break_containment(p, rng):
+        subs = p["flag"]["subspaces"]
+        if len(subs) < 3:
+            return None
+        subs[2][0] = _random_row(rng, len(subs[0]))
+        return p
+
+    def not_invariant(p, rng):
+        subs = p["flag"]["subspaces"]
+        if len(subs) < 2:
+            return None
+        subs[1][-1] = _random_row(rng, len(subs[0]))
+        return p
+
+    def double_order(p, rng):
+        p["order"] *= 2
+        return p
+
+    def order_zero(p, rng):
+        p["order"] = 0
+        return p
+
+    def missing_key(p, rng):
+        del p["flag"]
+        return p
+
+    def extra_key(p, rng):
+        p["flag"]["extra"] = 1
+        return p
+
+    def empty_matrix(p, rng):
+        p["automorphism"] = []
+        return p
+
+    def empty_rows(p, rng):
+        p["flag"]["subspaces"][0] = [[] for _ in p["flag"]["subspaces"][0]]
+        return p
+
+    def not_object(p, rng):
+        return [p]
+
+    def not_array(p, rng):
+        p["flag"]["weights"] = "1/2"
+        return p
+
+    return [v for k, v in sorted(locals().items())]
+
+
+# taken before the simple-root shortcut, the V_0 skip and the per-request scalar dict
+DESCEND_CORPUS_DIGEST = "e4a339fa684c51043fd1b4d6997e0743f7210a5857f0f68f3774f3022ac673e9"
+
+# every message of the descend path that an input can reach
+DESCEND_MESSAGES = (
+    "expected an object", "expected an array", "missing required field", "unknown field",
+    "expected an integer >= 1", "matrix must be nonempty", "matrix rows must be nonempty",
+    "ragged matrix", "power-basis coefficients allowed", "expected a rational string like",
+    "floats are not accepted", "too many digits",
+    "automorphism matrix must be square", "is not the identity",
+    "a flag needs at least one subspace", "one weight per subspace is required", "outside [0, 1)",
+    "weights must be strictly increasing", "subspace bases must share the ambient dimension",
+    "subspace basis rows are not independent", "the first subspace must be the full ambient space",
+    "subspace dimensions must strictly decrease", "each subspace must contain the next one",
+    "automorphism dimension does not match the flag", "automorphism does not preserve the flag",
+)
+
+
+def test_descend_corpus_digest(monkeypatch):
+    """``descend``'s exit codes, stdout and stderr on a fixed corpus hash
+    to a pinned digest: benchmark seed 3 (warm-up and one round) under
+    both conventions, and seeded edits of each request that reach every
+    message of the descend path.  A change to the descend path must
+    leave all of these bytes as they are."""
+    rounds, warmup = benchmark_gen(monkeypatch).streams("descend", 3)
+    requests = warmup + next(rounds)
+    mutations = _mutations()
+    digest = hashlib.sha256()
+    seen = set()
+    codes = [0, 0]
+    for k, req in enumerate(requests):
+        cases = [(["descend", "--convention", c], req.payload) for c in ("strict", "non-strict")]
+        rng = random.Random(f"descend-corpus/{k}")
+        for mutate in mutations:
+            edited = mutate(json.loads(json.dumps(req.payload)), rng)
+            if edited is not None:
+                cases.append((req.argv, edited))
+        for argv, payload in cases:
+            code, out, err = run_json(argv, payload)
+            assert code in (0, 2), err
+            codes[code // 2] += 1
+            seen.update(m for m in DESCEND_MESSAGES if m.encode() in err)
+            digest.update(b"%d\0%d\0%b%d\0%b" % (code, len(out), out, len(err), err))
+    assert seen == set(DESCEND_MESSAGES), set(DESCEND_MESSAGES) - seen
+    assert min(codes) > 0
+    assert digest.hexdigest() == DESCEND_CORPUS_DIGEST

@@ -26,6 +26,7 @@ from parastrata import (
 )
 
 from parastrata.eigenflag import _extend_basis
+from parastrata.exact import _root_exponents, eigen_nullities
 from util import is_identity, matrix_power, random_flag_automorphism, random_invertible, random_weights
 
 
@@ -244,13 +245,105 @@ def test_charpoly_roots_are_the_nonzero_kernels():
             ident = ExactMatrix.identity(field, m.rows)
             for e in range(d):
                 z = field.zeta(e)
-                value = field.zero
-                for c in reversed(cp):
-                    value = value * z + c
-                root = not value
+                root = not _horner(cp, z)
                 assert root == bool(kernel(m - ident.scaled(z)))
                 checked.add(root)
     assert checked == {True, False}
+
+
+def _horner(cp, z):
+    value = z.field.zero
+    for c in reversed(cp):
+        value = value * z + c
+    return value
+
+
+def test_root_exponents_flag_repeated_roots():
+    """``_root_exponents`` finds the d-th roots of unity among the roots
+    of the characteristic polynomial and flags one as repeated exactly
+    when the derivative vanishes there too, that is when (x - zeta^e)**2
+    divides the polynomial (Horner's rule in ``Cyclotomic`` arithmetic
+    as the oracle); at every simple root the eigenspace is a line."""
+    rng = random.Random(37)
+    seen = Counter()
+    for d in range(1, 13):
+        field = cyclotomic_field(d)
+        mats = [m for n in range(1, 4) for m in order_check_candidates(rng, field, n)]
+        mats += [random_flag_automorphism(rng, rng.randint(1, 5), d)[0].matrix for _ in range(4)]
+        for m in mats:
+            cp = charpoly(m)
+            derivative = [k * c for k, c in enumerate(cp)][1:]
+            roots = dict(_root_exponents(field, cp))
+            for e in range(d):
+                z = field.zeta(e)
+                assert (e in roots) == (not _horner(cp, z)), (d, e, m)
+                if e not in roots:
+                    continue
+                assert roots[e] == (not _horner(derivative, z)), (d, e, m)
+                seen[roots[e]] += 1
+                if not roots[e]:
+                    assert len(kernel(m - ExactMatrix.identity(field, m.rows).scaled(z))) == 1
+    assert seen[True] and seen[False], seen
+
+
+def _jordan_block(rng, field, e, n):
+    """zeta^e I + N, N strictly upper triangular with a nonzero superdiagonal."""
+    return [[field.zeta(e) if i == j else rng.choice([-1, 1, 2]) if j == i + 1
+             else rng.randint(-2, 2) if j > i else 0 for j in range(n)] for i in range(n)]
+
+
+def test_jordan_blocks_fail_the_order_check():
+    """A repeated root of geometric multiplicity below its algebraic one
+    still fails the order check, with the exact message, whether or not
+    the other roots are simple: conjugates of zeta^e I + N, and of
+    blocks diag(zeta^a, ..., zeta^e I + N) with distinct simple a's."""
+    rng = random.Random(41)
+    for d in range(1, 13):
+        field = cyclotomic_field(d)
+        for n in range(2, 5):
+            e = rng.randrange(d)
+            simple = rng.sample([a for a in range(d) if a != e], min(n - 2, d - 1))
+            size = n - len(simple)
+            block = _jordan_block(rng, field, e, size)
+            rows = [[field.zeta(a) if j == i else 0 for j in range(n)] for i, a in enumerate(simple)]
+            rows += [[0] * len(simple) + row for row in block]
+            p = random_invertible(rng, field, n)
+            for m in (ExactMatrix.from_rows(field, block), p * ExactMatrix.from_rows(field, rows) * inverse(p)):
+                with pytest.raises(ValueError, match=f"^matrix to the power {d} is not the identity$"):
+                    FlagAutomorphism(m, d)
+
+
+def test_eigen_nullities_rank_repeated_roots_only(monkeypatch):
+    """``eigen_nullities`` takes no rank when every root of the
+    characteristic polynomial is simple, and one per repeated root."""
+    import parastrata.exact as ex
+
+    calls = []
+    original = ex.residue_rank
+
+    def counted(field, rows):
+        calls.append(len(rows))
+        return original(field, rows)
+
+    monkeypatch.setattr(ex, "residue_rank", counted)
+    rng = random.Random(47)
+    counts = Counter()
+    for d in (1, 2, 3, 4, 5, 6, 8, 12, 16):
+        field = cyclotomic_field(d)
+        for n in range(1, 7):
+            exps = [rng.randrange(d) for _ in range(n)]
+            if rng.random() < 0.5 and n <= d:
+                exps = rng.sample(range(d), n)
+            p = random_invertible(rng, field, n)
+            diag = [[field.zeta(exps[i]) if i == j else 0 for j in range(n)] for i in range(n)]
+            m = p * ExactMatrix.from_rows(field, diag) * inverse(p)
+            calls.clear()
+            nullities = eigen_nullities(m)
+            assert nullities == tuple(exps.count(e) for e in range(d))
+            repeated = sum(1 for e in set(exps) if exps.count(e) > 1)
+            assert len(calls) == repeated, (d, exps, calls)
+            counts[bool(repeated)] += 1
+    assert counts[True] and counts[False], counts
 
 
 def test_nested_eigenbasis_repr_digest():
