@@ -293,6 +293,21 @@ def _codim_result(report: st.CodimReport) -> dict:
     }
 
 
+def _codim_line(head: str, report: st.CodimReport) -> str:
+    """A sweep line and its newline: ``head``, the configuration's
+    compact echo without its closing brace, then the keys of
+    `_codim_result` in the same order, written as `_compact_json` writes
+    them: booleans as true/false, ints by their repr, the bound by
+    `frac_str`."""
+    _, _, _, dim_m, num_indices, num_systems, max_dim, codim, bound, meets, at_least_three = report
+    return (
+        f'{head},"dim_M":{dim_m},"max_stratum_dim":{max_dim},"codim":{codim},"bound":"{frac_str(bound)}",'
+        f'"meets_bound":{"true" if meets else "false"},'
+        f'"codim_at_least_three":{"true" if at_least_three else "false"},'
+        f'"num_indices":{num_indices},"num_systems":{num_systems}}}\n'
+    )
+
+
 def cmd_codim(payload) -> tuple[dict, dict]:
     echo, spec, d = _parse_strata_common(payload)
     report = st.codim_report(spec, d)
@@ -348,10 +363,12 @@ def _sweep_systems(rank: int, max_points: int, max_len: int):
             yield points, "[" + ",".join(echo for _, echo in combo) + "]"
 
 
-def cmd_codim_sweep(payload) -> list[str]:
-    """One compact JSON line per (g, r, d, system), in that nesting
-    order: the echo of the configuration, then the `_codim_result`
-    fields.  A spec is built once per (g, r, system) and serves every d."""
+def cmd_codim_sweep(payload) -> str:
+    """The sweep's text: one compact JSON line per (g, r, d, system), in
+    that nesting order, each ended by a newline: the echo of the
+    configuration, then the `_codim_result` fields.  A spec is built once
+    per (g, r, system) and serves every d, and a line is one
+    `codim_report` and one `_codim_line`."""
     doc = expect_object(payload, "$")
     expect_keys(doc, "$", ("g", "r"), optional=("d", "max_points", "max_flag_length"))
     gs = _parse_range(doc["g"], "$.g")
@@ -374,10 +391,8 @@ def cmd_codim_sweep(payload) -> list[str]:
             specs = [(st.ModuliSpec.of(g, r, points), echo) for points, echo in systems]
             for d in d_list:
                 head = f'{{"g":{g},"r":{r},"d":{d},"points":'
-                for spec, echo in specs:
-                    result = _compact_json(_codim_result(st.codim_report(spec, d)))
-                    lines.append(head + echo + "," + result[1:])
-    return lines
+                lines.extend(_codim_line(head + echo, st.codim_report(spec, d)) for spec, echo in specs)
+    return "".join(lines)
 
 
 # --- pushforward -------------------------------------------------------------
@@ -699,7 +714,7 @@ def run_command(argv, stdin: bytes = b"") -> tuple[int, bytes, bytes]:
                 return 2, b"", f"error: invalid JSON input: lone surrogate \\u{bad:04x}\n".encode()
 
         if sub == "codim" and opts["sweep"]:
-            out = "".join(line + "\n" for line in cmd_codim_sweep(payload))
+            out = cmd_codim_sweep(payload)
         else:
             if sub == "dim":
                 echo, result = cmd_dim(payload)

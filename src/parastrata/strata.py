@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .parabolic import ParabolicDatum, PointWeights
 
@@ -296,9 +296,10 @@ def enumerate_strata(
             yield t, dict(zip(spec.point_ids, combo))
 
 
-@dataclass(frozen=True)
-class CodimReport:
-    """Exact dimension/codimension summary for one configuration."""
+class CodimReport(NamedTuple):
+    """Exact dimension/codimension summary for one configuration.  A
+    named tuple: built as one tuple, compared and hashed as one, with
+    the repr of a dataclass of the same fields."""
 
     genus: int
     rank: int
@@ -406,6 +407,11 @@ def codim_report(spec: ModuliSpec, d: int) -> CodimReport:
     every point has a single weight: the bound is 2 there and at least 4
     (g = 3, r = d = 2) for every other (g, r, d).  `meets_bound` is
     still computed; the tests check the identity.
+
+    This is the one place where `codim`, `bound`, `meets_bound` and
+    `codim_at_least_three` are stated: the CLI writes the fields of the
+    returned `CodimReport`, one tuple, as they are, in a `codim` report
+    and in each sweep line alike.
     """
     q = _check_cover_degree(spec.rank, d)
     g, r = spec.genus, spec.rank
@@ -422,16 +428,10 @@ def codim_report(spec: ModuliSpec, d: int) -> CodimReport:
 
     bound_num = r * r * (g - 1) * (d - 1)
     codim = dim_m - max_dim
+    # positional, in field order: keywords would double the cost
     return CodimReport(
-        genus=g,
-        rank=r,
-        cover_degree=d,
-        dim_moduli=dim_m,
-        num_indices=num_indices,
-        num_systems=num_systems,
-        max_stratum_dim=max_dim,
-        codim=codim,
-        bound=Fraction(bound_num, d),
-        meets_bound=codim * d >= bound_num,
-        codim_at_least_three=codim >= 3,
+        g, r, d, dim_m, num_indices, num_systems, max_dim, codim,
+        Fraction(bound_num, d),  # bound
+        codim * d >= bound_num,  # meets_bound
+        codim >= 3,  # codim_at_least_three
     )

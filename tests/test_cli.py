@@ -1,11 +1,12 @@
 import hashlib
 import json
+import math
 import random
 import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as hs
+from hypothesis import example, given, settings, strategies as hs
 
 from parastrata import (
     ModuliSpec,
@@ -344,25 +345,101 @@ SWEEP_ORACLE_PAYLOADS = [
 ]
 
 
+def _sweep_values(doc):
+    """The values of a sweep range: a list, or {min, max} inclusive."""
+    return sorted(set(doc)) if isinstance(doc, list) else range(doc["min"], doc["max"] + 1)
+
+
+def _sweep_oracle(payload) -> list[str]:
+    """The lines of a sweep built one configuration at a time, each from
+    a fresh spec, echo and report, in the sweep's (g, r, d, system) order."""
+    expected = []
+    for g in _sweep_values(payload["g"]):
+        for r in _sweep_values(payload["r"]):
+            ds = range(2, r + 1) if payload.get("d") is None else _sweep_values(payload["d"])
+            for d in [d for d in ds if d >= 2 and r % d == 0]:
+                for points in multiplicity_systems(r, payload.get("max_points", 2), payload.get("max_flag_length", 3)):
+                    report = codim_report(ModuliSpec.of(g, r, points), d)
+                    line = {"g": g, "r": r, "d": d, "points": echo_points(points), **_codim_result(report)}
+                    expected.append(_compact_json(line))
+    return expected
+
+
 @pytest.mark.parametrize("payload", SWEEP_ORACLE_PAYLOADS)
 def test_sweep_lines_match_per_configuration_reports(payload):
     """Every sweep line equals the line built on its own, with a fresh
     spec, echo and report, in the sweep's (g, r, d, system) order."""
     code, out, err = run_json(["codim", "--sweep"], payload)
     assert code == 0, err
-    gs = payload["g"] if isinstance(payload["g"], list) else range(payload["g"]["min"], payload["g"]["max"] + 1)
-    rs = payload["r"] if isinstance(payload["r"], list) else range(payload["r"]["min"], payload["r"]["max"] + 1)
-    expected = []
-    for g in sorted(set(gs)):
-        for r in sorted(set(rs)):
-            ds = [d for d in payload.get("d", range(2, r + 1)) if d >= 2 and r % d == 0]
-            for d in sorted(ds):
-                for points in multiplicity_systems(r, payload["max_points"], payload.get("max_flag_length", 3)):
-                    report = codim_report(ModuliSpec.of(g, r, points), d)
-                    line = {"g": g, "r": r, "d": d, "points": echo_points(points), **_codim_result(report)}
-                    expected.append(_compact_json(line))
+    expected = _sweep_oracle(payload)
     assert expected
     assert out.decode().split("\n") == expected + [""]
+
+
+def _sweep_range(values, width, top):
+    """A sweep range over `values`: a list, or {min, max} at most `width`
+    wide and at most `top`."""
+    spans = hs.tuples(values, hs.integers(0, width)).map(lambda t: {"min": t[0], "max": min(t[0] + t[1], top)})
+    return hs.one_of(hs.lists(values, min_size=1, max_size=3), spans)
+
+
+_SWEEP_PAYLOADS = hs.fixed_dictionaries(
+    {
+        # small genera meet g = 2, large ones give long ints in dim_M and bound
+        "g": _sweep_range(hs.one_of(hs.integers(2, 4), hs.integers(2, 10**9)), 1, 10**9),
+        "r": _sweep_range(hs.integers(1, 8), 2, 8),
+    },
+    optional={
+        "d": hs.one_of(hs.none(), _sweep_range(hs.integers(-1, 9), 4, 9)),
+        "max_points": hs.integers(0, 2),
+        "max_flag_length": hs.integers(1, 3),
+    },
+)
+
+
+@settings(max_examples=60, database=None, derandomize=True, deadline=None)
+@given(_SWEEP_PAYLOADS)
+@example({"g": [2], "r": [2], "d": [2], "max_points": 2, "max_flag_length": 1})
+@example({"g": {"min": 10**9 - 1, "max": 10**9}, "r": [8], "max_points": 1})
+def test_sweep_lines_match_per_configuration_reports_on_random_payloads(payload):
+    """The same oracle on random small sweeps, whose g = r = d = 2
+    single-weight lines say codim_at_least_three is false."""
+    code, out, err = run_json(["codim", "--sweep"], payload)
+    assert (code, err) == (0, b""), err
+    assert out.decode() == "".join(line + "\n" for line in _sweep_oracle(payload))
+
+
+def test_sweep_line_is_one_report_and_one_format(monkeypatch):
+    """On README's sweep, `_compact_json` encodes each generated point
+    once per rank and nothing else, no line goes through the
+    `_codim_result` dict, and each line takes exactly one `codim_report`."""
+    import parastrata.cli as cli
+    import parastrata.strata as strata
+
+    encoder = _count_calls(monkeypatch, cli, ("_compact_json", "_codim_result"))
+    reports = _count_calls(monkeypatch, strata, ("codim_report",))
+    payload = {"g": {"min": 2, "max": 5}, "r": [1, 2, 3, 4, 6]}
+    code, out, err = run_json(["codim", "--sweep"], payload)
+    assert (code, err) == (0, b"")
+    lines = out.count(b"\n")
+    # compositions of r into 1..3 parts; r = 1 has no cover degree and no lines
+    points = sum(math.comb(r - 1, k - 1) for r in (2, 3, 4, 6) for k in range(1, 4))
+    assert encoder == {"_compact_json": points, "_codim_result": 0}
+    assert reports == {"codim_report": lines}
+    assert lines == 3844
+
+
+def test_codim_and_sweep_bytes_are_pinned():
+    """README's codim example and README's sweep, by the sha256 of stdout."""
+    cases = [
+        (["codim"], CODIM_EXAMPLE, "1693ae0ca5d988e9918123282dc9e672933ab7f1c9975ddbe7495f9a98728e49"),
+        (["codim", "--sweep"], {"g": {"min": 2, "max": 5}, "r": [2, 3, 4, 6]},
+         "6dc488132414bd7d48b4d224a23fe7ab59a37fb75f06efdd2d86beaf4f278ea6"),
+    ]
+    for argv, payload, digest in cases:
+        code, out, err = run_json(argv, payload)
+        assert (code, err) == (0, b"")
+        assert hashlib.sha256(out).hexdigest() == digest
 
 
 def test_validation_failures_exit_two_with_clean_stdout():

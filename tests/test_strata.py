@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as hs
 
 from parastrata import (
+    CodimReport,
     CoverSpec,
     ModuliSpec,
     MultiplicityMatrix,
@@ -287,6 +288,30 @@ def test_codim_report_full_flag_rank_two():
     assert rep.meets_bound and rep.codim_at_least_three
     assert rep.num_indices == 4
     assert rep.num_systems == 2
+
+
+def test_codim_report_public_contract():
+    """Field names and order, README's repr, equality and hash by value
+    (the hash of the field tuple, as for a frozen dataclass), attribute
+    access and immutability."""
+    fields = ("genus", "rank", "cover_degree", "dim_moduli", "num_indices", "num_systems",
+              "max_stratum_dim", "codim", "bound", "meets_bound", "codim_at_least_three")
+    assert CodimReport._fields == fields
+    rep = codim_report(ModuliSpec.of(2, 2, {"p": PW2}, xi_degree=3), 2)
+    assert repr(rep) == (
+        "CodimReport(genus=2, rank=2, cover_degree=2, dim_moduli=4, num_indices=4, num_systems=2, "
+        "max_stratum_dim=1, codim=3, bound=Fraction(2, 1), meets_bound=True, codim_at_least_three=True)"
+    )
+    assert (rep.dim_moduli, rep.max_stratum_dim, rep.codim, rep.bound) == (4, 1, 3, Fraction(2, 1))
+    assert type(rep.bound) is Fraction and type(rep.meets_bound) is bool
+    again = codim_report(ModuliSpec.of(2, 2, {"p": pw(["1/4", "1/2"], [1, 1])}), 2)
+    assert again is not rep and again == rep and hash(again) == hash(rep)
+    assert hash(rep) == hash(tuple(getattr(rep, f) for f in fields))
+    assert CodimReport(**{f: getattr(rep, f) for f in fields}) == rep
+    assert codim_report(ModuliSpec.of(3, 2, {"p": PW2}), 2) != rep
+    assert len({rep, again}) == 1
+    with pytest.raises(AttributeError):
+        rep.codim = 4
 
 
 def test_codim_report_rank_four():
