@@ -250,26 +250,67 @@ def _parse_strata_common(payload) -> tuple[dict, st.ModuliSpec, int]:
     return echo, spec, d
 
 
+# A strata report holds each point's "indices" at depth 4 (report,
+# result, per_point, point): the list closes after a newline and 8
+# spaces, and each level inside it indents 2 more.
+_I8, _I10, _I12, _I14, _I16, _I18, _I20 = ("\n" + " " * n for n in range(8, 22, 2))
+# one index, from its joined subset texts and its matrix list
+_INDEX = "{" + _I12 + '"subsets": [' + _I14 + "%s" + _I12 + "]," + _I12 + '"matrices": %s' + _I10 + "}"
+
+
+class _Encoded(str):
+    """Report text already encoded at its place in the report, which
+    `_report_json` writes as it is.  `_indices_text` makes the only ones:
+    each point's "indices" value in a `cmd_strata` report."""
+
+
+def _indices_text(labels: list[str], d: int, systems) -> tuple[_Encoded, int, int]:
+    """One point's "indices" value, with the bytes `_report_json` would
+    give its list of per-index dicts at that depth, and its numbers of
+    indices and of matrices.  ``systems`` yields (subset d-tuple,
+    matrices) as `st.point_systems` does.  Each weight subset's label
+    list is encoded once per point, and each matrix is one format of its
+    entries and flag term: no per-index dict and no row list is built."""
+    row = "[" + _I20 + ("," + _I20).join(["%d"] * len(labels)) + _I18 + "]"
+    matrix = (
+        "{" + _I16 + '"entries": [' + _I18 + ("," + _I18).join([row] * d) + _I16 + "],"
+        + _I16 + '"flag_term": %d' + _I14 + "}"
+    )
+    sep = "," + _I14
+    subset_texts: dict[tuple[int, ...], str] = {}
+    items = []
+    num_matrices = 0
+    for t, mats in systems:
+        if mats:
+            num_matrices += len(mats)
+            mat_texts = [matrix % (*itertools.chain(*m.entries), st.matrix_flag_term(m)) for m in mats]
+            listed = "[" + _I14 + sep.join(mat_texts) + _I12 + "]"
+        else:
+            listed = "[]"
+        subsets = []
+        for sub in t:
+            text = subset_texts.get(sub)
+            if text is None:
+                text = subset_texts[sub] = _report_json([labels[k] for k in sub], _I14)
+            subsets.append(text)
+        items.append(_INDEX % (sep.join(subsets), listed))
+    return _Encoded("[" + _I10 + ("," + _I10).join(items) + _I8 + "]"), len(items), num_matrices
+
+
 def cmd_strata(payload) -> tuple[dict, dict]:
+    """Per point, its echo, its `subset_count` and its indices, each a
+    subset d-tuple from `st.point_systems` with its matrices.  A point's
+    "indices" value is an `_Encoded` text from `_indices_text`, which
+    `_report_json` writes as it is."""
     echo, spec, d = _parse_strata_common(payload)
     per_point = []
     num_indices = 1
     num_systems = 1
     for pid, pw in spec.points:
         point = echo_point(pw)
-        labels = point["weights"]
-        indices = [
-            {
-                "subsets": [[labels[k] for k in sub] for sub in t],
-                "matrices": [
-                    {"entries": [list(row) for row in mat.entries], "flag_term": st.matrix_flag_term(mat)}
-                    for mat in mats
-                ],
-            }
-            for t, mats in st.point_systems(pw, spec.rank, d)
-        ]
-        num_indices *= len(indices)
-        num_systems *= sum(len(index["matrices"]) for index in indices)
+        indices, count, matrices = _indices_text(point["weights"], d, st.point_systems(pw, spec.rank, d))
+        num_indices *= count
+        num_systems *= matrices
         subset_count = st.subset_count(pw.length, spec.rank // d)
         per_point.append({"point": pid, **point, "subset_count": subset_count, "indices": indices})
     result = {
@@ -656,9 +697,10 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 def _report_json(o, ind: str = "\n") -> str:
     """The text of json.dumps(o, indent=2, ensure_ascii=False) for a tree
     of dicts with string keys, lists, tuples, strings, ints, booleans and
-    None, dispatched on the exact type; anything else, subclasses
-    included, raises TypeError.  ``ind`` is the newline and indent that
-    close the value, so each level is one join."""
+    None, dispatched on the exact type.  An `_Encoded` text, which only
+    `_indices_text` makes, is written as it is; anything else, other
+    subclasses included, raises TypeError.  ``ind`` is the newline and
+    indent that close the value, so each level is one join."""
     t = type(o)
     if t is str:
         return encode_basestring(o)
@@ -677,6 +719,8 @@ def _report_json(o, ind: str = "\n") -> str:
         return "true"
     if o is False:
         return "false"
+    if t is _Encoded:
+        return o
     raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
 

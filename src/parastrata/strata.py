@@ -383,6 +383,13 @@ def _column_splits(m: int, caps: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
             yield (caps[0] - v, *rest)
 
 
+@functools.lru_cache(maxsize=4096)
+def _bound(bound_num: int, d: int) -> Fraction:
+    """The bound r^2 (g-1)(d-1)/d as a `Fraction`, built once per key: a
+    sweep states the same bound for every system of a (g, r, d)."""
+    return Fraction(bound_num, d)
+
+
 def codim_report(spec: ModuliSpec, d: int) -> CodimReport:
     """Survey every stratum and compare the exact codimension against
     the analytic lower bound r^2 (g-1) (1 - 1/d).
@@ -431,7 +438,7 @@ def codim_report(spec: ModuliSpec, d: int) -> CodimReport:
     # positional, in field order: keywords would double the cost
     return CodimReport(
         g, r, d, dim_m, num_indices, num_systems, max_dim, codim,
-        Fraction(bound_num, d),  # bound
+        _bound(bound_num, d),  # bound
         codim * d >= bound_num,  # meets_bound
         codim >= 3,  # codim_at_least_three
     )

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -15,6 +16,7 @@ from parastrata import (
     check_parabolic_morphism,
     codim_report,
     stratum_dimension,
+    subset_count,
 )
 from parastrata.cli import (
     _codim_result,
@@ -27,7 +29,7 @@ from parastrata.cli import (
 )
 
 from test_acceptance import multiplicity_systems
-from util import benchmark_gen, random_flag_automorphism
+from util import benchmark_gen, random_flag_automorphism, strata_report_oracle
 
 
 def run_json(argv, payload):
@@ -429,10 +431,48 @@ def test_sweep_line_is_one_report_and_one_format(monkeypatch):
     assert lines == 3844
 
 
+def test_strata_listing_encodes_each_subset_once(monkeypatch):
+    """On README's strata example and on every benchmark `STRATA_KEYS`
+    key, `_report_json` encodes each distinct weight subset of a point
+    once per request, at its depth in an index, and meets nothing else
+    below the points' fields: no per-index dict, no matrix and no row."""
+    import parastrata.cli as cli
+
+    gen = benchmark_gen(monkeypatch)
+    rng = random.Random(0)
+    payloads = [STRATA_EXAMPLE] + [gen.strata_request(rng, key).payload for key in gen.STRATA_KEYS]
+    report_json = cli._report_json
+    calls = []
+
+    def spy(o, ind="\n"):
+        calls.append((len(ind) - 1, o))
+        return report_json(o, ind)
+
+    monkeypatch.setattr(cli, "_report_json", spy)
+    for payload in payloads:
+        calls.clear()
+        result = result_of(["strata"], payload)["result"]
+        q = payload["r"] // payload["d"]
+        expected = [
+            [point["weights"][k] for k in sub]
+            for point in result["per_point"]
+            for size in range(1, q + 1)
+            for sub in itertools.combinations(range(len(point["weights"])), size)
+        ]
+        # depth 8 holds a point's fields, 10 their items; an index's fields are at 12
+        assert not any(type(o) is dict and "subsets" in o for _, o in calls)
+        deep = [(depth, o) for depth, o in calls if depth >= 12]
+        assert {(depth, type(o)) for depth, o in deep} == {(14, list), (16, str)}
+        encoded = [o for depth, o in deep if depth == 14]
+        assert sorted(encoded) == sorted(expected)
+
+
 def test_codim_and_sweep_bytes_are_pinned():
-    """README's codim example and README's sweep, by the sha256 of stdout."""
+    """README's codim and strata examples and README's sweep, by the
+    sha256 of stdout."""
     cases = [
         (["codim"], CODIM_EXAMPLE, "1693ae0ca5d988e9918123282dc9e672933ab7f1c9975ddbe7495f9a98728e49"),
+        (["strata"], STRATA_EXAMPLE, "38a131d7a367db782772d44235147bcf1190a4289056f233407d329a9e313530"),
         (["codim", "--sweep"], {"g": {"min": 2, "max": 5}, "r": [2, 3, 4, 6]},
          "6dc488132414bd7d48b4d224a23fe7ab59a37fb75f06efdd2d86beaf4f278ea6"),
     ]
@@ -941,3 +981,143 @@ def test_descend_corpus_digest(monkeypatch):
     assert seen == set(DESCEND_MESSAGES), set(DESCEND_MESSAGES) - seen
     assert min(codes) > 0
     assert digest.hexdigest() == DESCEND_CORPUS_DIGEST
+
+
+# --- strata listings: bytes pinned, and checked against the tree-built report ---
+
+
+def _strata_edits():
+    """Seeded invalid edits of a valid strata payload, each returning the
+    edited payload: a cover degree that does not divide the rank,
+    multiplicities that do not sum to it, an unknown field, a bad weight."""
+
+    def d_not_dividing(p, rng):
+        p["d"] = rng.choice([d for d in range(2, p["r"] + 2) if p["r"] % d])
+        return p
+
+    def mults_off(p, rng):
+        point = rng.choice(p["points"])
+        point["mults"][rng.randrange(len(point["mults"]))] += 1
+        return p
+
+    def unknown_field(p, rng):
+        rng.choice([p, *p["points"]])["extra"] = 1
+        return p
+
+    def bad_weight(p, rng):
+        point = rng.choice(p["points"])
+        k = rng.randrange(len(point["weights"]))
+        point["weights"][k] = rng.choice(["1/0", "x", "1//2", " 1/2", "1/2\n", "٣/4", 0.5])
+        return p
+
+    return [d_not_dividing, mults_off, unknown_field, bad_weight]
+
+
+STRATA_MESSAGES = (
+    "does not divide rank", "multiplicities sum to", "unknown field",
+    "expected a rational string like", "floats are not accepted",
+)
+
+# taken before strata listings were written from parts encoded once per point
+STRATA_CORPUS_DIGEST = "706a2bdb3769bc569401606bd917b252208cbeae51f6166134c439b5458dc4e1"
+
+
+def _strata_corpus(monkeypatch):
+    """Benchmark ``requests`` seed 3's strata payloads, the warm-up's and
+    one per `STRATA_KEYS` key, then the points of those with the same
+    (r, d) as one multi-point payload each, then two multi-point examples."""
+    gen = benchmark_gen(monkeypatch)
+    rounds, warmup = gen.streams("requests", 3)
+    payloads = [req.payload for req in warmup if req.kind == "strata"]
+    keys = set()
+    while len(keys) < len(gen.STRATA_KEYS):
+        for req in next(rounds):
+            if req.kind == "strata":
+                p = req.payload
+                keys.add((p["r"], p["d"], tuple(p["points"][0]["mults"])))
+                payloads.append(p)
+    merged = {}
+    for p in payloads[1:]:
+        merged.setdefault((p["r"], p["d"]), dict(p, points=[]))["points"] += p["points"]
+    return payloads + list(merged.values()) + [ELEVEN_POINTS_STRATA, dict(STRATA_EXAMPLE, e=-3)]
+
+
+def test_strata_corpus_digest(monkeypatch):
+    """``strata``'s exit codes, stdout and stderr on a fixed corpus hash
+    to a pinned digest: every benchmark strata key, multi-point payloads
+    and seeded invalid edits of each.  A change to how listings are
+    written must leave all of these bytes as they are."""
+    edits = _strata_edits()
+    digest = hashlib.sha256()
+    seen = set()
+    codes = [0, 0]
+    for k, payload in enumerate(_strata_corpus(monkeypatch)):
+        rng = random.Random(f"strata-corpus/{k}")
+        cases = [payload] + [edit(json.loads(json.dumps(payload)), rng) for edit in edits]
+        for case in cases:
+            code, out, err = run_json(["strata"], case)
+            assert code in (0, 2), err
+            codes[code // 2] += 1
+            seen.update(m for m in STRATA_MESSAGES if m.encode() in err)
+            digest.update(b"%d\0%d\0%b%d\0%b" % (code, len(out), out, len(err), err))
+    assert seen == set(STRATA_MESSAGES), set(STRATA_MESSAGES) - seen
+    assert min(codes) > 0
+    assert digest.hexdigest() == STRATA_CORPUS_DIGEST
+
+
+# (r, d) with d >= 2 dividing r, for r in 1..8
+_STRATA_RD = [(r, d) for r in range(1, 9) for d in range(2, r + 1) if r % d == 0]
+
+
+def _strata_max_length(r, d):
+    """The longest point of rank r, at most min(r, 4) weights, with at
+    most 4096 subset d-tuples: the oracle builds a dict per tuple."""
+    return max(n for n in range(1, min(r, 4) + 1) if subset_count(n, r // d) ** d <= 4096)
+
+
+@hs.composite
+def _strata_points(draw, r, length):
+    """A point of rank r with `length` weights: distinct rationals in
+    [0, 1), some with long numerators and denominators, and a
+    composition of r into `length` parts."""
+    den = hs.one_of(hs.integers(1, 12), hs.integers(1, 10**40))
+    fracs = den.flatmap(lambda b: hs.integers(0, b - 1).map(lambda a: Fraction(a, b)))
+    weights = draw(hs.lists(fracs, min_size=length, max_size=length, unique=True))
+    cuts = draw(hs.lists(hs.integers(1, r - 1), min_size=length - 1, max_size=length - 1, unique=True))
+    edges = [0, *sorted(cuts), r]
+    return {"weights": [str(w) for w in sorted(weights)], "mults": [b - a for a, b in zip(edges, edges[1:])]}
+
+
+@hs.composite
+def _strata_payloads(draw):
+    r, d = draw(hs.sampled_from(_STRATA_RD))
+    lengths = hs.integers(1, _strata_max_length(r, d))
+    points = draw(hs.lists(lengths.flatmap(lambda n: _strata_points(r, n)), max_size=3))
+    return {"g": draw(hs.integers(2, 5)), "r": r, "d": d, "e": draw(hs.integers(-6, 6)), "points": points}
+
+
+@settings(max_examples=80, database=None, derandomize=True, deadline=None)
+@given(_strata_payloads())
+@example(ELEVEN_POINTS_STRATA)
+@example({"g": 3, "r": 8, "d": 8, "points": [{"weights": ["0", "1/2"], "mults": [7, 1]}] * 2})
+def test_strata_listing_matches_tree_built_report(payload):
+    """The listing's bytes equal the tree-built report's on random
+    payloads: 0-3 points, long weights, every (r, d) up to r = 8, and
+    eleven points, whose ids p10 and p11 sort before p2."""
+    assert run_json(["strata"], payload) == (0, strata_report_oracle(payload), b"")
+
+
+def test_strata_listing_without_matrices_matches_tree_built_report(monkeypatch):
+    """Every valid point has a margin table, so here `point_systems`
+    drops them all: indices without matrices are written as the
+    tree-built report writes them, as at a point with no table at all."""
+    import parastrata.strata as strata
+
+    systems = strata.point_systems
+    monkeypatch.setattr(strata, "point_systems", lambda *a: ((t, []) for t, _ in systems(*a)))
+    rank_four = {"g": 2, "r": 4, "d": 4, "points": [{"weights": ["0", "1/3", "2/3"], "mults": [2, 1, 1]}] * 2}
+    for payload in (STRATA_EXAMPLE, ELEVEN_POINTS_STRATA, rank_four):
+        code, out, err = run_json(["strata"], payload)
+        assert (code, err) == (0, b"")
+        assert b'"matrices": []' in out and b'"flag_term"' not in out
+        assert out == strata_report_oracle(payload)

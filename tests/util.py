@@ -1,10 +1,12 @@
 """Shared helpers for the test suite: seeded random generators for
 parabolic data, covers, and finite-order flag automorphisms; matrix
 powers; and a reference arithmetic for Q(zeta_d) on ``Fraction``
-coefficients (schoolbook product, extended-Euclid inverse); and the
-benchmark's input generator, loaded as a module."""
+coefficients (schoolbook product, extended-Euclid inverse); the
+benchmark's input generator, loaded as a module; and the tree-built
+``strata`` report, the slow oracle for the CLI's listing."""
 
 import importlib.util
+import json
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -20,6 +22,8 @@ from parastrata import (
     inverse,
     rank,
 )
+from parastrata import strata as st
+from parastrata.cli import VERSION, _parse_strata_common, echo_point
 
 
 def benchmark_gen(monkeypatch):
@@ -31,6 +35,36 @@ def benchmark_gen(monkeypatch):
     monkeypatch.setitem(sys.modules, spec.name, gen)  # dataclasses look their module up
     spec.loader.exec_module(gen)
     return gen
+
+
+def strata_report_oracle(payload) -> bytes:
+    """The ``strata`` report for a valid payload, built as a tree with one
+    dict per index and one list per matrix row, and written by
+    ``json.dumps(indent=2, ensure_ascii=False)``."""
+    echo, spec, d = _parse_strata_common(payload)
+    per_point = []
+    num_indices = 1
+    num_systems = 1
+    for pid, pw in spec.points:
+        point = echo_point(pw)
+        labels = point["weights"]
+        indices = [
+            {
+                "subsets": [[labels[k] for k in sub] for sub in t],
+                "matrices": [
+                    {"entries": [list(row) for row in mat.entries], "flag_term": st.matrix_flag_term(mat)}
+                    for mat in mats
+                ],
+            }
+            for t, mats in st.point_systems(pw, spec.rank, d)
+        ]
+        num_indices *= len(indices)
+        num_systems *= sum(len(index["matrices"]) for index in indices)
+        subset_count = st.subset_count(pw.length, spec.rank // d)
+        per_point.append({"point": pid, **point, "subset_count": subset_count, "indices": indices})
+    result = {"num_indices": num_indices, "num_systems": num_systems, "per_point": per_point}
+    report = {"version": VERSION, "subcommand": "strata", "input": echo, "result": result}
+    return (json.dumps(report, indent=2, ensure_ascii=False) + "\n").encode()
 
 
 def random_weights(rng, length, max_den=12):
