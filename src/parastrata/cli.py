@@ -426,6 +426,8 @@ def cmd_codim_sweep(payload) -> str:
         d_list = [d for d in divisors(r)[1:] if ds is None or d in ds]
         if d_list:
             plan.append((r, d_list, list(_sweep_systems(r, max_points, max_len))))
+    if not plan:
+        return ""
     lines = []
     for g in gs:
         for r, d_list, systems in plan:

@@ -9,8 +9,9 @@ Three scalar domains, all immutable and arbitrary precision:
   1, x, ..., x^(phi(d)-1): integer numerators over one positive
   denominator, in lowest terms.  A product is an integer convolution
   reduced by the monic modulus; an inverse is the product of the other
-  Galois conjugates over the norm, the conjugates read off one table of
-  the powers of zeta.
+  Galois conjugates over the norm.  zeta**d = 1, so a power of zeta,
+  a conjugate or a sum of shifted residues is a cyclic shift modulo
+  x**d - 1 and one reduction.
 
 ``ExactMatrix`` carries a rectangular block of scalars from one
 ``CyclotomicField``; the rationals are ``RATIONALS = cyclotomic_field(1)``,
@@ -376,12 +377,12 @@ class Cyclotomic:
 class CyclotomicField:
     """The field Q(zeta_d).  Obtain instances via ``cyclotomic_field(d)``.
 
-    ``powers[e]`` holds the integer coefficients of x**e modulo the
-    cyclotomic polynomial, for e in 0..d-1: it gives ``zeta(e)`` and
-    the Galois conjugates.  ``units`` lists (Z/d)^*, starting at 1.
+    Every power of zeta is computed when asked for: x**(e mod d)
+    reduced by the cyclotomic polynomial, which divides x**d - 1.
+    ``units`` lists (Z/d)^*, starting at 1.
     """
 
-    __slots__ = ("order", "modulus", "degree", "powers", "units", "_tail", "_pad", "zero", "one")
+    __slots__ = ("order", "modulus", "degree", "units", "_tail", "_pad", "zero", "one")
 
     def __init__(self, order: int):
         if order < 1:
@@ -392,17 +393,9 @@ class CyclotomicField:
         # x**k = -sum_j tail_j x**j modulo the (monic) modulus
         self._tail = tuple((j, m) for j, m in enumerate(self.modulus.coeffs[:k]) if m)
         self._pad = (0,) * (k - 1)
-        row = [1] + [0] * (k - 1)
-        powers = []
-        for _ in range(order):
-            powers.append(tuple(row))
-            top, row = row[-1], [0] + row[:-1]
-            for j, m in self._tail:
-                row[j] -= top * m
-        self.powers = tuple(powers)
         self.units = tuple(j for j in range(1, order + 1) if gcd(j, order) == 1)
         self.zero = Cyclotomic(self, (0,) * k)
-        self.one = Cyclotomic(self, powers[0])
+        self.one = Cyclotomic(self, (1,) + self._pad)
 
     def _reduce(self, c: list[int]) -> list[int]:
         """An integer coefficient list modulo the modulus, in place."""
@@ -435,16 +428,22 @@ class CyclotomicField:
                     conv[i + j] += x * y
         return self._reduce(conv)
 
+    def _shifted_sum(self, pairs, e: int) -> list[int]:
+        """sum_k c_k zeta**(e k), reduced, for pairs ``(k, c_k)`` of
+        integer residues: zeta**d = 1 and the modulus divides x**d - 1, so
+        each term is c_k shifted cyclically by e k modulo x**d - 1, and the
+        sum is reduced once."""
+        d = self.order
+        acc = [0] * d
+        for k, c in pairs:
+            s = e * k
+            for i, a in enumerate(c):
+                acc[(s + i) % d] += a
+        return self._reduce(acc)
+
     def _conjugate(self, num: tuple[int, ...], j: int) -> list[int]:
-        """sigma_j(num): zeta**i goes to zeta**(i*j), read off ``powers``."""
-        d, powers = self.order, self.powers
-        out = [0] * self.degree
-        for i, a in enumerate(num):
-            if a:
-                for t, c in enumerate(powers[i * j % d]):
-                    if c:
-                        out[t] += a * c
-        return out
+        """sigma_j(num): zeta**i goes to zeta**(i*j)."""
+        return self._shifted_sum([(i, (a,)) for i, a in enumerate(num) if a], j)
 
     def _cofactor(self, num: tuple[int, ...]) -> tuple[list[int], int]:
         """``(c, N)`` with num * c = N: c is the product of the Galois
@@ -472,7 +471,7 @@ class CyclotomicField:
 
     def zeta(self, power: int = 1) -> Cyclotomic:
         """zeta_d ** power, with zeta_d a fixed primitive d-th root of unity."""
-        return Cyclotomic(self, self.powers[power % self.order])
+        return Cyclotomic(self, tuple(self._reduce([0] * (power % self.order) + [1])))
 
     def coerce(self, value) -> Cyclotomic:
         if isinstance(value, Cyclotomic):
@@ -868,7 +867,7 @@ class ResidueMap:
         return sum(abs(t).bit_length() for row in self.rows for v in row if v is not None for t in v)
 
     def _shift(self, e: int) -> list[list[int]]:
-        z = self.field.powers[e % self.field.order]
+        z = self.field.zeta(e).num
         return [[den * t for t in z] for den in self.dens]
 
     def nullity(self, e: int) -> int:
@@ -985,24 +984,17 @@ def _root_exponents(field, poly) -> list[tuple[int, bool]]:
     is a root of the polynomial with coefficients ``poly`` in the field,
     constant term first; ``repeated`` says whether the derivative
     vanishes there too, that is whether (x - zeta_d**e)**2 divides the
-    polynomial.  Evaluated in integer residues: zeta**(e k) times a
-    residue is a cyclic shift modulo x**d - 1, which the d-th
-    cyclotomic polynomial divides, so one reduction per evaluation and
-    no product; the derivative's term k c_k x**(k-1) is k c_k shifted
-    by e (k - 1)."""
-    d = field.order
+    polynomial.  Evaluated in integer residues by
+    ``CyclotomicField._shifted_sum``, one reduction per evaluation and no
+    product; the derivative's term k c_k x**(k-1) is k c_k shifted by
+    e (k - 1)."""
     terms = [(k, c) for k, c in enumerate(_integral_row(poly)[1]) if c is not None]
     derivative = [(k - 1, [k * a for a in c]) for k, c in terms if k]
 
     def vanishes(pairs, e: int) -> bool:
-        acc = [0] * d
-        for k, c in pairs:
-            s = e * k
-            for i, a in enumerate(c):
-                acc[(s + i) % d] += a
-        return not any(field._reduce(acc))
+        return not any(field._shifted_sum(pairs, e))
 
-    return [(e, vanishes(derivative, e)) for e in range(d) if vanishes(terms, e)]
+    return [(e, vanishes(derivative, e)) for e in range(field.order) if vanishes(terms, e)]
 
 
 def eigen_nullities(m: ExactMatrix) -> tuple[int, ...]:

@@ -230,17 +230,12 @@ def matrix_to_multiplicity_system(
 
 def flag_dimension(mults: Sequence[int]) -> int:
     """Dimension of the variety of flags with the given dimension drops:
-    sum over i of m_i * (m_{i+1} + ... + m_l)."""
-    ms = list(mults)
-    for m in ms:
+    sum over i < j of m_i m_j, that is (n^2 - sum m_i^2) / 2 with n the
+    sum of the m_i."""
+    for m in mults:
         if not isinstance(m, int) or isinstance(m, bool) or m < 1:
             raise ValueError(f"positive integer multiplicity expected, got {m!r}")
-    total = 0
-    suffix = sum(ms)
-    for m in ms:
-        suffix -= m
-        total += m * suffix
-    return total
+    return (sum(mults) ** 2 - sum(m * m for m in mults)) // 2
 
 
 def moduli_dimension(spec: ModuliSpec) -> int:
@@ -252,9 +247,10 @@ def moduli_dimension(spec: ModuliSpec) -> int:
 
 
 def matrix_flag_term(mat: MultiplicityMatrix) -> int:
-    """Sum over the rows of the flag dimension of their positive entries:
-    one point's contribution to the dimension of its stratum."""
-    return sum(flag_dimension([v for v in row if v]) for row in mat.entries)
+    """Sum over the rows of the flag dimension of their positive entries,
+    (sum(row)^2 - sum v^2) / 2, to which a zero entry adds nothing: one
+    point's contribution to the dimension of its stratum."""
+    return sum((sum(row) ** 2 - sum(v * v for v in row)) // 2 for row in mat.entries)
 
 
 def _check_matrix_margins(mat: MultiplicityMatrix, pw: PointWeights, q: int, d: int) -> None:

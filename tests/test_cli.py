@@ -399,7 +399,7 @@ _SWEEP_PAYLOADS = hs.fixed_dictionaries(
 )
 
 
-@settings(max_examples=60, database=None, derandomize=True, deadline=None)
+@settings(max_examples=60)
 @given(_SWEEP_PAYLOADS)
 @example({"g": [2], "r": [2], "d": [2], "max_points": 2, "max_flag_length": 1})
 @example({"g": {"min": 10**9 - 1, "max": 10**9}, "r": [8], "max_points": 1})
@@ -610,7 +610,7 @@ def expected_report(x):
     return json.dumps(x, indent=2, ensure_ascii=False)
 
 
-@settings(max_examples=150, database=None, derandomize=True, deadline=None)
+@settings(max_examples=150)
 @given(_TREES)
 def test_report_json_matches_json_dumps(tree):
     assert _report_json(tree) == expected_report(tree)
@@ -1096,7 +1096,7 @@ def _strata_payloads(draw):
     return {"g": draw(hs.integers(2, 5)), "r": r, "d": d, "e": draw(hs.integers(-6, 6)), "points": points}
 
 
-@settings(max_examples=80, database=None, derandomize=True, deadline=None)
+@settings(max_examples=80)
 @given(_strata_payloads())
 @example(ELEVEN_POINTS_STRATA)
 @example({"g": 3, "r": 8, "d": 8, "points": [{"weights": ["0", "1/2"], "mults": [7, 1]}] * 2})

@@ -494,7 +494,7 @@ def codim_configurations(draw):
     return ModuliSpec.of(draw(hs.integers(2, 6)), r, points), d
 
 
-@settings(max_examples=60, database=None, derandomize=True, deadline=None)
+@settings(max_examples=60)
 @given(codim_configurations())
 def test_codim_is_bound_plus_slack_beyond_the_grid(config):
     spec, d = config

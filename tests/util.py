@@ -188,7 +188,7 @@ def _poly_divmod(a, b):
     quot = [Fraction(0)] * max(0, len(rem) - len(b) + 1)
     for k in range(len(rem) - 1, len(b) - 2, -1):
         if rem[k]:
-            f = rem[k] / b[-1]
+            f = rem[k] if b[-1] == 1 else rem[k] / b[-1]  # integers stay integers
             quot[k - len(b) + 1] = f
             for i, m in enumerate(b):
                 rem[k - len(b) + 1 + i] -= f * m
@@ -204,10 +204,10 @@ def _poly_mul(a, b):
 
 
 def ref_reduce(field, coeffs):
-    """Fraction coefficients of a polynomial modulo the field's modulus,
-    padded to the field degree."""
-    mod = [Fraction(c) for c in field.modulus.coeffs]
-    rem = _poly_divmod([Fraction(c) for c in coeffs], mod)[1]
+    """The coefficients of a polynomial modulo the field's modulus, by
+    long division, padded to the field degree.  The modulus is monic, so
+    Fraction coefficients give Fractions and integer ones integers."""
+    rem = _poly_divmod(list(coeffs), list(field.modulus.coeffs))[1]
     return tuple(rem + [Fraction(0)] * (field.degree - len(rem)))
 
 
