@@ -28,6 +28,10 @@ VERSION = "parastrata/1.0"
 
 SUBCOMMANDS = ("dim", "generic", "strata", "codim", "pushforward", "descend", "flagcoh")
 
+# the largest `descend` order: finding the eigenvalues scans all d roots of
+# unity, so the work grows about as d**2
+MAX_DESCEND_ORDER = 1000
+
 # ASCII digits only, and \Z: `$` would also match before a trailing newline
 _FRACTION_RE = re.compile(r"([+-]?[0-9]+)(?:/([1-9][0-9]*))?\Z")
 # built once: json.dumps with separators builds a new encoder per call
@@ -498,6 +502,8 @@ def cmd_descend(payload, convention: str) -> tuple[dict, dict]:
     doc = expect_object(payload, "$")
     expect_keys(doc, "$", ("order", "automorphism", "flag"))
     order = expect_int(doc["order"], "$.order", minimum=1)
+    if order > MAX_DESCEND_ORDER:
+        raise ValidationError("$.order", f"expected an integer <= {MAX_DESCEND_ORDER}")
     field = cyclotomic_field(order)
     scalars: dict = {}
     rows, rows_echo = parse_matrix(doc["automorphism"], "$.automorphism", field, scalars)

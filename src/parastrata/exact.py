@@ -3,7 +3,9 @@
 Three scalar domains, all immutable and arbitrary precision:
 
 * plain rationals -- ``fractions.Fraction`` from the standard library;
-* ``IntPolynomial`` -- integer-coefficient polynomials in one variable;
+* ``IntPolynomial`` -- the coefficients of an integer polynomial in one
+  variable; every product and quotient of them is ``q_ratio``'s, a ratio
+  of q-integers [k]_q = 1 + q + ... + q**(k-1);
 * ``Cyclotomic`` -- elements of the field Q(zeta_d), stored as residues
   modulo the d-th cyclotomic polynomial in the power basis
   1, x, ..., x^(phi(d)-1): integer numerators over one positive
@@ -40,7 +42,9 @@ import functools
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, lcm
+from operator import sub
 
 
 def to_fraction(x) -> Fraction:
@@ -74,30 +78,6 @@ class IntPolynomial:
         if self.coeffs and self.coeffs[-1] == 0:
             raise ValueError("coefficients not normalized (trailing zero)")
 
-    @staticmethod
-    def of(coeffs) -> "IntPolynomial":
-        cs = list(coeffs)
-        while cs and cs[-1] == 0:
-            cs.pop()
-        return IntPolynomial(tuple(cs))
-
-    @staticmethod
-    def one() -> "IntPolynomial":
-        return IntPolynomial((1,))
-
-    @staticmethod
-    def x_power(k: int) -> "IntPolynomial":
-        if k < 0:
-            raise ValueError("negative exponent")
-        return IntPolynomial((0,) * k + (1,))
-
-    @staticmethod
-    def geometric(n: int) -> "IntPolynomial":
-        """1 + x + ... + x**(n-1), i.e. (x**n - 1)/(x - 1)."""
-        if n < 0:
-            raise ValueError("negative length")
-        return IntPolynomial((1,) * n)
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -108,59 +88,11 @@ class IntPolynomial:
     def coefficient(self, k: int) -> int:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
 
-    def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return IntPolynomial.of(out)
-
-    def __neg__(self) -> "IntPolynomial":
-        return IntPolynomial(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
-        return self + (-other)
-
-    def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
-        if self.is_zero() or other.is_zero():
-            return IntPolynomial()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return IntPolynomial.of(out)
-
     def __call__(self, x: int) -> int:
         acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    def divmod_monic(self, divisor: "IntPolynomial") -> tuple["IntPolynomial", "IntPolynomial"]:
-        """Long division by a monic divisor, staying inside the integers."""
-        if divisor.is_zero() or divisor.coeffs[-1] != 1:
-            raise ValueError("divisor must be monic")
-        rem = list(self.coeffs)
-        dd = divisor.degree
-        if len(rem) - 1 < dd:
-            return IntPolynomial(), self
-        quot = [0] * (len(rem) - dd)
-        for k in range(len(rem) - 1, dd - 1, -1):
-            c = rem[k]
-            if c:
-                quot[k - dd] = c
-                for i, m in enumerate(divisor.coeffs):
-                    rem[k - dd + i] -= c * m
-        return IntPolynomial.of(quot), IntPolynomial.of(rem)
-
-    def exact_div(self, divisor: "IntPolynomial") -> "IntPolynomial":
-        q, r = self.divmod_monic(divisor)
-        if not r.is_zero():
-            raise ValueError("division is not exact")
-        return q
 
     def __str__(self) -> str:
         if self.is_zero():
@@ -191,22 +123,55 @@ def divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
+def q_ratio(num, den) -> tuple[int, ...]:
+    """The coefficients of prod_a [a]_q / prod_b [b]_q over the positive
+    integers a in ``num`` and b in ``den``, where the q-integer [k]_q is
+    1 + q + ... + q**(k-1) = (1 - q**k) / (1 - q).
+
+    Multiplying by [a]_q is multiplying by 1 - q**a, then a running sum;
+    dividing by [b]_q is multiplying by 1 - q, then a running sum in each
+    residue class mod b, the recurrence x_k = c_k - c_(k-1) + x_(k-b).
+    The numerator is multiplied out first, so a ratio that is a
+    polynomial is a polynomial after each division.  A division is exact
+    iff x_n, ..., x_(len-1) vanish, n = len - b + 1; otherwise, and for a
+    divisor longer than the dividend, ``ValueError``.
+    """
+    num, den = tuple(num), tuple(den)
+    if any(k < 1 for k in num + den):
+        raise ValueError("q-integers [k]_q need k >= 1")
+    c = [1]
+    for a in num:
+        c = list(accumulate(map(sub, c + [0] * (a - 1), [0] * a + c)))
+    for b in den:
+        n = len(c) - b + 1
+        if n < 1:
+            raise ValueError(f"[{b}]_q is longer than the dividend")
+        c = list(map(sub, c, [0] + c))
+        for r in range(b):
+            c[r::b] = accumulate(c[r::b])
+        if any(c[n:]):
+            raise ValueError(f"division by [{b}]_q is not exact")
+        del c[n:]
+    return tuple(c)
+
+
 @functools.lru_cache(maxsize=None)
 def cyclotomic_polynomial(d: int) -> IntPolynomial:
-    """The d-th cyclotomic polynomial.
-
-    Computed by exact division of x**d - 1 by the product of the lower
-    cyclotomic polynomials over the proper divisors of d; monic and
-    irreducible over the rationals.
+    """The d-th cyclotomic polynomial, monic and irreducible over the
+    rationals: prod_(e | d) (x**e - 1)**mu(d/e).  For d > 1 the exponents
+    sum to 0, so the factors x - 1 cancel and it is the ratio of the
+    q-integers [e]_x with mu(d/e) = 1 over those with mu(d/e) = -1.
     """
     if d < 1:
         raise ValueError("positive order expected")
-    numerator = IntPolynomial.x_power(d) - IntPolynomial.one()
-    acc = IntPolynomial.one()
-    for e in divisors(d):
-        if e < d:
-            acc = acc * cyclotomic_polynomial(e)
-    return numerator.exact_div(acc)
+    if d == 1:
+        return IntPolynomial((-1, 1))
+    divs = divisors(d)
+    mu: dict[int, int] = {}
+    for m in divs:  # mu(m) = -sum of mu over the proper divisors of m
+        mu[m] = 1 if m == 1 else -sum(mu[k] for k in divs if k < m and m % k == 0)
+    by_sign = {s: [e for e in divs if mu[d // e] == s] for s in (1, -1)}
+    return IntPolynomial(q_ratio(by_sign[1], by_sign[-1]))
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,11 @@ here have cohomology in even degrees only.
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
-from .exact import IntPolynomial
+from .exact import IntPolynomial, q_ratio
 
 _RANK_RULES = {
     "A": lambda n: n >= 1,
@@ -121,9 +122,6 @@ class PoincarePolynomial:
     def is_palindromic(self) -> bool:
         return self.poly.coeffs == tuple(reversed(self.poly.coeffs))
 
-    def __mul__(self, other: "PoincarePolynomial") -> "PoincarePolynomial":
-        return PoincarePolynomial(self.poly * other.poly)
-
     def coefficients(self) -> tuple[int, ...]:
         return self.poly.coeffs
 
@@ -136,12 +134,9 @@ def fundamental_degrees(t: CartanType) -> tuple[int, ...]:
 
 
 def weyl_poincare(t: CartanType) -> PoincarePolynomial:
-    """Length generating function of the Weyl group: the product of
-    (q**d - 1)/(q - 1) over the fundamental degrees."""
-    acc = IntPolynomial.one()
-    for deg in fundamental_degrees(t):
-        acc = acc * IntPolynomial.geometric(deg)
-    return PoincarePolynomial(acc)
+    """Length generating function of the Weyl group: the product of the
+    q-integers [d]_q = (q**d - 1)/(q - 1) over the fundamental degrees."""
+    return PoincarePolynomial(IntPolynomial(q_ratio(fundamental_degrees(t), ())))
 
 
 # --- Dynkin diagrams -------------------------------------------------------
@@ -331,14 +326,19 @@ def levi_components(t: CartanType, I: ParabolicSubset) -> CartanType:
     return CartanType.of(pieces)
 
 
-def _flag_quotient(weyl: PoincarePolynomial, levi: CartanType) -> PoincarePolynomial:
-    return PoincarePolynomial(weyl.poly.exact_div(weyl_poincare(levi).poly))
+def _flag_ratio(t: CartanType, levis: Sequence[CartanType]) -> PoincarePolynomial:
+    """prod_i W(q) / W_(L_i)(q) over the given Levi types, as one ratio of
+    q-integers: G's degrees once per Levi over all the Levis' degrees,
+    with the degrees they share cancelled first."""
+    num = Counter(fundamental_degrees(t) * len(levis))
+    den = Counter(deg for levi in levis for deg in fundamental_degrees(levi))
+    return PoincarePolynomial(IntPolynomial(q_ratio((num - den).elements(), (den - num).elements())))
 
 
 def flag_poincare(t: CartanType, I: ParabolicSubset) -> PoincarePolynomial:
     """Poincare polynomial of G/P: the Weyl polynomial divided exactly
     by the Weyl polynomial of the Levi."""
-    return _flag_quotient(weyl_poincare(t), levi_components(t, I))
+    return _flag_ratio(t, (levi_components(t, I),))
 
 
 def pic_rank_flag(t: CartanType, I: ParabolicSubset) -> int:
@@ -351,7 +351,8 @@ def pic_rank_flag(t: CartanType, I: ParabolicSubset) -> int:
 class KunnethReport:
     """Second-Betti-number assembly for a product of flag varieties;
     ``weyl`` is W(G)'s Poincare polynomial and ``levis[i]`` the Levi
-    type of the i-th parabolic, whose factor is their quotient."""
+    type of the i-th parabolic.  Each factor, and their product, is one
+    ratio of q-integers over the fundamental degrees."""
 
     factors: tuple[PoincarePolynomial, ...]
     product: PoincarePolynomial
@@ -386,10 +387,8 @@ def kunneth_report(
         raise ValueError("moduli-side b2 must be a non-negative integer")
     weyl = weyl_poincare(t)
     levis = tuple(levi_components(t, I) for I in parabolics)
-    factors = tuple(_flag_quotient(weyl, levi) for levi in levis)
-    product = factors[0]
-    for f in factors[1:]:
-        product = product * f
+    factors = tuple(_flag_ratio(t, (levi,)) for levi in levis)
+    product = _flag_ratio(t, levis)
     ranks = tuple(pic_rank_flag(t, I) for I in parabolics)
     b2 = product.betti(1)
     if b2 != sum(ranks):

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from parastrata import (
     subset_count,
 )
 from parastrata.cli import (
+    MAX_DESCEND_ORDER,
     _codim_result,
     _compact_json,
     _report_json,
@@ -165,8 +167,9 @@ def test_documented_reports_compute_each_fact_once(monkeypatch):
     coh = _count_calls(monkeypatch, fc, ("weyl_poincare", "levi_components"))
     checks = _count_calls(monkeypatch, ef, ("check_parabolic_morphism",))
     result_of(["flagcoh"], FLAGCOH_EXAMPLE)
-    # W(G) once, then one Levi type and its Weyl polynomial per parabolic
-    assert coh == {"weyl_poincare": 3, "levi_components": 2}
+    # W(G) once and one Levi type per parabolic; the factors are ratios of
+    # q-integers, so no Levi Weyl polynomial is built
+    assert coh == {"weyl_poincare": 1, "levi_components": 2}
     for convention in ("strict", "non-strict"):
         result_of(["descend", "--convention", convention], DESCEND_EXAMPLE)
     assert checks == {"check_parabolic_morphism": 0}
@@ -515,6 +518,17 @@ def test_descend_error_messages_are_exact():
     ]
     for payload, message in cases:
         assert run_json(["descend"], payload) == (2, b"", message)
+
+
+def test_descend_order_is_bounded():
+    """An order above `MAX_DESCEND_ORDER` exits 2 naming `$.order` before
+    any field is built (2**70 would not fit an index); the cap itself runs."""
+    one = {"automorphism": [["1"]], "flag": {"weights": ["0"], "subspaces": [[["1"]]]}}
+    message = b"error: $.order: expected an integer <= %d\n" % MAX_DESCEND_ORDER
+    for order in (2**70, MAX_DESCEND_ORDER + 1):
+        assert run_json(["descend"], dict(one, order=order)) == (2, b"", message)
+    report = result_of(["descend"], dict(one, order=MAX_DESCEND_ORDER))
+    assert report["input"]["order"] == MAX_DESCEND_ORDER
 
 
 def test_parse_fraction_matches_fraction():
@@ -1121,3 +1135,53 @@ def test_strata_listing_without_matrices_matches_tree_built_report(monkeypatch):
         assert (code, err) == (0, b"")
         assert b'"matrices": []' in out and b'"flag_term"' not in out
         assert out == strata_report_oracle(payload)
+
+
+# --- flagcoh: bytes pinned on benchmark-sized and large types -------------------
+
+# taken before the Poincare polynomials were built as q-integer ratios
+FLAGCOH_CORPUS_DIGEST = "1c1dd23d8dc3a64b0d8e8bf3ff0fa7eb8d81059a40795efd8b7691a5c3807b4b"
+
+# types of total rank 12 to 50, beyond the benchmark's 8
+_FLAGCOH_LARGE_TYPES = (
+    [("A", 50)], [("B", 12), ("G", 2)], [("C", 10), ("D", 9)], [("E", 8), ("F", 4)], [("A", 3), ("E", 6), ("E", 7)],
+)
+
+
+def _flagcoh_corpus(monkeypatch):
+    """Benchmark ``requests`` seed 3's flagcoh payloads, the warm-up's
+    and the first 200 of the timed rounds, then each large type with
+    A_50's parabolics [1] and [2] and two seeded parabolics per type."""
+    rounds, warmup = benchmark_gen(monkeypatch).streams("requests", 3)
+    payloads = [req.payload for req in warmup if req.kind == "flagcoh"]
+    while len(payloads) < 201:
+        payloads += [req.payload for req in next(rounds) if req.kind == "flagcoh"]
+    payloads.append({"type": [["A", 50]], "parabolics": [[1], [2]]})
+    rng = random.Random("flagcoh-corpus")
+    for comps in _FLAGCOH_LARGE_TYPES:
+        parabolics = [[sorted(rng.sample(range(1, n + 1), rng.randint(0, n))) for _, n in comps] for _ in range(2)]
+        payloads.append({"type": [list(c) for c in comps], "parabolics": parabolics})
+    return payloads
+
+
+def test_flagcoh_corpus_digest(monkeypatch):
+    """``flagcoh``'s exit codes, stdout and stderr on a fixed corpus hash
+    to a pinned digest: benchmark-sized requests and types up to rank 50.
+    A change to how Poincare polynomials are built must leave all of
+    these bytes as they are."""
+    digest = hashlib.sha256()
+    for payload in _flagcoh_corpus(monkeypatch):
+        code, out, err = run_json(["flagcoh"], payload)
+        assert code == 0, err
+        digest.update(b"%d\0%d\0%b%d\0%b" % (code, len(out), out, len(err), err))
+    assert digest.hexdigest() == FLAGCOH_CORPUS_DIGEST
+
+
+def test_flagcoh_large_type_runs_fast():
+    """A_100 with parabolics [1] and [2], about 4 MB of report, within 5 s:
+    each factor has degree 5049, the 5050 positive roots less the Levi
+    A_1's one, and their product twice that."""
+    start = time.perf_counter()
+    report = result_of(["flagcoh"], {"type": [["A", 100]], "parabolics": [[1], [2]]})
+    assert time.perf_counter() - start < 5
+    assert len(report["result"]["poincare_F"]) == 2 * 5049 + 1

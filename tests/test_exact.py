@@ -10,7 +10,6 @@ from parastrata import (
     RATIONALS,
     CyclotomicField,
     ExactMatrix,
-    IntPolynomial,
     charpoly,
     cyclotomic_field,
     cyclotomic_polynomial,
@@ -21,7 +20,7 @@ from parastrata import (
     rref,
     solve,
 )
-from parastrata.exact import divisors, to_fraction
+from parastrata.exact import divisors, q_ratio, to_fraction
 from util import is_identity, matrix_power, random_flag_automorphism, ref_inverse, ref_mul, ref_reduce
 
 
@@ -127,12 +126,31 @@ def test_cyclotomic_polynomial_against_mobius_oracle():
 
 
 def test_cyclotomic_product_identity():
+    """x**d - 1 is the product of the e-th cyclotomic polynomials over the
+    divisors e of d, multiplied out densely."""
     for d in range(1, 51):
-        prod = IntPolynomial.one()
+        prod = [1]
         for e in divisors(d):
-            prod = prod * cyclotomic_polynomial(e)
-        expected = IntPolynomial.x_power(d) - IntPolynomial.one()
-        assert prod == expected
+            prod = poly_mul(prod, cyclotomic_polynomial(e).coeffs)
+        assert prod == [-1] + [0] * (d - 1) + [1]
+
+
+def test_q_ratio_against_dense_arithmetic():
+    """[4][6] / ([2][3]) by dense product and long division, in either
+    order of the divisors; the empty ratio is 1."""
+    assert q_ratio((), ()) == (1,)
+    num = poly_mul([1] * 4, [1] * 6)
+    expected = poly_divide_exact(num, poly_mul([1] * 2, [1] * 3))
+    assert q_ratio([4, 6], [2, 3]) == tuple(expected)
+    assert q_ratio([4, 6], [3, 2]) == tuple(expected)
+
+
+@pytest.mark.parametrize("num, den", [([2], [3]), ([6], [4]), ([3, 3], [5]), ([2], [7]), ([0], []), ([2], [0])])
+def test_q_ratio_refuses_what_is_not_a_polynomial(num, den):
+    """[2]/[3] and [2]/[7]: a divisor longer than the dividend; [6]/[4]
+    and [3]^2/[5]: a nonzero remainder; [0]_q: not a q-integer."""
+    with pytest.raises(ValueError):
+        q_ratio(num, den)
 
 
 # --- cyclotomic arithmetic ---------------------------------------------------

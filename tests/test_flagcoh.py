@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as hs
 
 from parastrata import (
     CartanType,
@@ -13,6 +14,8 @@ from parastrata import (
     weyl_bfs_order,
     weyl_poincare,
 )
+
+from test_exact import poly_divide_exact, poly_mul
 
 
 def ct(*components):
@@ -254,3 +257,46 @@ def test_kunneth_points_only():
 def test_kunneth_requires_parabolics():
     with pytest.raises(ValueError):
         kunneth_report(ct(("A", 1)), [])
+
+
+# --- against dense polynomial arithmetic ---------------------------------------------
+
+# every family at ranks up to 8, so that a drawn type has total rank <= 16
+_TYPES = (
+    [("A", n) for n in range(1, 9)] + [("B", n) for n in range(2, 9)] + [("C", n) for n in range(2, 9)]
+    + [("D", n) for n in range(4, 9)] + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+)
+
+
+def dense_weyl(t):
+    """W(q) as the dense product of [d]_q = [1] * d over the degrees."""
+    acc = [1]
+    for deg in fundamental_degrees(t):
+        acc = poly_mul(acc, [1] * deg)
+    return acc
+
+
+@hs.composite
+def _types_and_parabolics(draw):
+    comps = sorted(draw(hs.lists(hs.sampled_from(_TYPES), min_size=1, max_size=2)))
+    subsets = [hs.lists(hs.integers(1, n), unique=True) for _, n in comps]
+    parabolics = draw(hs.lists(hs.tuples(*subsets), min_size=1, max_size=3))
+    return CartanType.of(comps), [ParabolicSubset.of(p) for p in parabolics]
+
+
+@settings(max_examples=60)
+@given(_types_and_parabolics())
+def test_kunneth_report_matches_dense_arithmetic(case):
+    """Each factor is W(G) divided by W(L) by long division, and the
+    product is the factors multiplied out, on random types of one or two
+    components and one to three parabolics."""
+    t, parabolics = case
+    rep = kunneth_report(t, parabolics)
+    weyl = dense_weyl(t)
+    assert rep.weyl.coefficients() == tuple(weyl)
+    product = [1]
+    for I, factor in zip(parabolics, rep.factors):
+        quotient = poly_divide_exact(weyl, dense_weyl(levi_components(t, I)))
+        assert factor.coefficients() == tuple(quotient)
+        product = poly_mul(product, quotient)
+    assert rep.product.coefficients() == tuple(product)

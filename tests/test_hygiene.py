@@ -69,3 +69,13 @@ def test_benchmark_round_zero_matches_golden_digest(workload, monkeypatch):
         digest.update(out)
     golden = json.loads((ROOT / "perfbench" / "golden.json").read_text())
     assert digest.hexdigest() == golden[workload]
+
+
+def test_readme_layout_names_every_export():
+    """README's library layout table names, in backticks, every name that
+    the package exports."""
+    init = parsed(ROOT / "src" / "parastrata" / "__init__.py")
+    exported = {alias.name for node in ast.walk(init) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    readme = (ROOT / "README.md").read_text().splitlines()
+    table = "\n".join(line for line in readme if line.startswith("| `parastrata."))
+    assert exported and sorted(name for name in exported if f"`{name}`" not in table) == []
