@@ -22,7 +22,7 @@ from . import eigenflag as ef
 from . import flagcoh as fc
 from . import parabolic as pb
 from . import strata as st
-from .exact import cyclotomic_field, divisors
+from .exact import ExactMatrix, cyclotomic_field, divisors
 
 VERSION = "parastrata/1.0"
 
@@ -31,6 +31,9 @@ SUBCOMMANDS = ("dim", "generic", "strata", "codim", "pushforward", "descend", "f
 # the largest `descend` order: finding the eigenvalues scans all d roots of
 # unity, so the work grows about as d**2
 MAX_DESCEND_ORDER = 1000
+# the largest total rank of a `flagcoh` type: B_n's Poincare polynomial has
+# degree n**2, and a report lists every coefficient of each factor
+MAX_FLAGCOH_RANK = 100
 
 # ASCII digits only, and \Z: `$` would also match before a trailing newline
 _FRACTION_RE = re.compile(r"([+-]?[0-9]+)(?:/([1-9][0-9]*))?\Z")
@@ -84,19 +87,24 @@ def expect_keys(doc: dict, path: str, required: tuple[str, ...], optional: tuple
             raise ValidationError(f"{path}.{key}", "unknown field")
 
 
-def parse_fraction(x, path: str) -> Fraction:
+def _ratio(x, path: str) -> tuple[int, int]:
+    """An integer or a rational string as (numerator, denominator > 0)."""
     if _is_int(x):
-        return Fraction(x)
+        return x, 1
     if isinstance(x, str):
         m = _FRACTION_RE.match(x)
         if m is None:
             raise ValidationError(path, f"expected a rational string like \"3/4\", got {x!r}")
         num, den = m.groups()
         try:
-            return Fraction(int(num), int(den)) if den else Fraction(int(num))
+            return int(num), int(den) if den else 1
         except ValueError:  # past the int-to-str digit limit
             raise ValidationError(path, "too many digits in a rational string") from None
     raise ValidationError(path, "expected a rational string (floats are not accepted)")
+
+
+def parse_fraction(x, path: str) -> Fraction:
+    return Fraction(*_ratio(x, path))
 
 
 def frac_str(f: Fraction) -> str:
@@ -147,29 +155,31 @@ def echo_points(points: dict[str, pb.PointWeights]) -> list[dict]:
     return [echo_point(pw) for pw in points.values()]
 
 
-def parse_scalar(x, path: str, field):
-    """A matrix/vector entry: a rational string, or a coefficient list
-    in the power basis of the field."""
+def parse_scalar(x, path: str, field) -> tuple[tuple[int, ...] | None, int]:
+    """A rational string or a power-basis coefficient list, as ``field.residue`` gives it."""
     if isinstance(x, list):
         if len(x) > field.degree:
             raise ValidationError(path, f"at most {field.degree} power-basis coefficients allowed")
-        coeffs = [parse_fraction(c, f"{path}[{i}]") for i, c in enumerate(x)]
-        return field.element(coeffs)
-    return field.from_rational(parse_fraction(x, path))
+        return field.residue([_ratio(c, f"{path}[{i}]") for i, c in enumerate(x)])
+    return field.residue([_ratio(x, path)])
 
 
-def scalar_json(value) -> object:
-    if value.is_rational():
-        return frac_str(value.rational_value())
-    return [frac_str(c) for c in value.coeffs]
+def scalar_echo(num, den: int) -> object:
+    """An entry ``(num, den)`` as the report echoes it: a rational string,
+    or the rational strings of its power-basis coefficients."""
+    if num is None or not any(num[1:]):
+        num = (num[0] if num else 0,)
+    echo = [str(c) if den == 1 else frac_str(Fraction(c, den)) for c in num]
+    return echo if len(echo) > 1 else echo[0]
 
 
 def parse_matrix(doc, path: str, field, scalars: dict) -> tuple[list[list], list[list]]:
-    """The matrix's entries and their echo.  ``scalars`` belongs to one
-    request: it maps a raw scalar already met there, a string or a
-    tuple of coefficient strings, to its ``(element, echo)``, so each
-    distinct one is parsed and echoed once.  Other JSON values are not
-    keys: ``1``, ``1.0`` and ``true`` hash alike but do not parse alike."""
+    """The matrix's rows of entries ``(num, den)`` and their echo.
+    ``scalars`` belongs to one request: it maps a raw scalar already met
+    there, a string or a tuple of coefficient strings, to its ``(entry,
+    echo)``, so each distinct one is parsed and echoed once.  Other JSON
+    values are not keys: ``1``, ``1.0`` and ``true`` hash alike but do
+    not parse alike."""
     arr = expect_array(doc, path)
     if not arr:
         raise ValidationError(path, "matrix must be nonempty")
@@ -191,8 +201,8 @@ def parse_matrix(doc, path: str, field, scalars: dict) -> tuple[list[list], list
                 key = None
             parsed = scalars.get(key)
             if parsed is None:
-                value = parse_scalar(x, f"{path}[{i}][{j}]", field)
-                parsed = (value, scalar_json(value))
+                entry = parse_scalar(x, f"{path}[{i}][{j}]", field)
+                parsed = (entry, scalar_echo(*entry))
                 if key is not None:
                     scalars[key] = parsed
             values.append(parsed[0])
@@ -477,6 +487,7 @@ def cmd_pushforward(payload) -> tuple[dict, dict]:
         pushed = cover_mod.pushforward(cov, datum)
     except ValueError as exc:
         raise ValidationError("$", str(exc)) from exc
+    par_degree = pb.par_degree(pushed)
     echo = {
         "cover": {"degree": degree, "fibers": {b: list(f) for b, f in cov.fibers}},
         "datum": {
@@ -489,8 +500,8 @@ def cmd_pushforward(payload) -> tuple[dict, dict]:
         "rank": pushed.rank,
         "degree": pushed.degree,
         "points": {pid: echo_point(pw) for pid, pw in pushed.points},
-        "par_degree": frac_str(pb.par_degree(pushed)),
-        "par_slope": frac_str(pb.par_slope(pushed)),
+        "par_degree": frac_str(par_degree),
+        "par_slope": frac_str(par_degree / pushed.rank),
     }
     return echo, result
 
@@ -518,8 +529,8 @@ def cmd_descend(payload, convention: str) -> tuple[dict, dict]:
         subspaces.append(sub)
         subspaces_echo.append(sub_echo)
     try:
-        phi = ef.FlagAutomorphism.of(order, rows)
-        flag = ef.WeightedFlag.of(order, subspaces, weights)
+        phi = ef.FlagAutomorphism(ExactMatrix.from_residues(field, rows), order)
+        flag = ef.WeightedFlag(order, [ExactMatrix.from_residues(field, sub) for sub in subspaces], weights)
         res = ef.descend(phi, flag, order)
     except ValueError as exc:
         raise ValidationError("$", str(exc)) from exc
@@ -562,6 +573,8 @@ def cmd_flagcoh(payload, pic_rank_qg_flag: int | None) -> tuple[dict, dict]:
         ctype = fc.CartanType.of(comps)
     except ValueError as exc:
         raise ValidationError("$.type", str(exc)) from exc
+    if ctype.total_rank > MAX_FLAGCOH_RANK:
+        raise ValidationError("$.type", f"expected a total rank <= {MAX_FLAGCOH_RANK}")
     pdocs = expect_array(doc["parabolics"], "$.parabolics")
     if not pdocs:
         raise ValidationError("$.parabolics", "at least one parabolic subset is required")

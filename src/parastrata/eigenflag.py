@@ -73,15 +73,6 @@ def _extend_basis(field, inner: Sequence[Vector], outer_basis: Sequence[Vector])
     return [vectors[p] for p in pivots]
 
 
-def _shifted(matrix: ExactMatrix, z: Cyclotomic) -> ExactMatrix:
-    """matrix - z I, with z subtracted on the diagonal only."""
-    n = matrix.rows
-    entries = list(matrix.entries)
-    for i in range(0, n * n, n + 1):
-        entries[i] = entries[i] - z
-    return ExactMatrix(matrix.field, n, n, entries)
-
-
 class WeightedFlag:
     """Strictly decreasing chain of subspaces with increasing weights.
 
@@ -198,10 +189,10 @@ class FlagAutomorphism:
         """``eigenspaces[e]``, the canonical basis of the zeta_d**e
         eigenspace, taken as a kernel on each access where the nullity
         is nonzero.  ``nested_eigenbasis`` reads it; ``descend`` does not."""
-        zeta = self.matrix.field.zeta
-        return tuple(
-            kernel(_shifted(self.matrix, zeta(e))) if k else () for e, k in enumerate(self.nullities)
-        )
+        m, field = self.matrix, self.matrix.field
+        ident = ExactMatrix.identity(field, m.rows)
+        return tuple(kernel(m - ident.scaled(field.zeta(e))) if k else ()
+                     for e, k in enumerate(self.nullities))
 
     @staticmethod
     def of(order: int, rows: Sequence[Sequence]) -> "FlagAutomorphism":

@@ -15,21 +15,21 @@ Three scalar domains, all immutable and arbitrary precision:
   a conjugate or a sum of shifted residues is a cyclic shift modulo
   x**d - 1 and one reduction.
 
-``ExactMatrix`` carries a rectangular block of scalars from one
-``CyclotomicField``; the rationals are ``RATIONALS = cyclotomic_field(1)``,
+``ExactMatrix`` keeps a rectangular block of scalars from one
+``CyclotomicField`` as rows of integer residues cleared of denominators
+(``residue_rows``); the rationals are ``RATIONALS = cyclotomic_field(1)``,
 whose elements equal and hash like the ``Fraction`` they hold.
 
-Ranks come from one fraction-free kernel, ``residue_rank``, on rows of
-integer residues cleared of denominators (``residue_rows``): Bareiss
-elimination in which the previous pivot's other Galois conjugates and
-the integer content stand in for the division by that pivot, so no
-inverse is taken and no ``Cyclotomic`` is built.  ``rank`` uses it, and
-so does every check of ``eigenflag.descend``: the flag's independence
-and containment, the automorphism's eigenspace dimensions
-(``eigen_nullities``: read off the characteristic polynomial that
-``hessenberg`` leads to, one at a simple root, and ranked only at a
-repeated root), and the level counts (``ResidueMap``, which also keeps
-the shift by a root of unity in the residue format).
+Ranks come from one fraction-free kernel, ``residue_rank``, on such
+rows: Bareiss elimination in which the previous pivot's other Galois
+conjugates and the integer content stand in for the division by that
+pivot, so no inverse is taken and no ``Cyclotomic`` is built.  ``rank``
+uses it, and so does every check of ``eigenflag.descend``: the flag's
+independence and containment, the automorphism's eigenspace dimensions
+(``eigen_nullities``: read off the characteristic polynomial of the
+``hessenberg`` form, one at a simple root, and ranked only at a repeated
+root), and the level counts (``ResidueMap``, which also keeps the shift
+by a root of unity in the residue format).
 ``rref``, ``kernel``, ``reduced_row_basis``, ``solve`` and ``inverse``
 share one row reducer that normalizes pivots to one, leftmost first, so
 their outputs are canonical; the tests' oracles use them.  No floating
@@ -425,11 +425,19 @@ class CyclotomicField:
     def _rational(self, x) -> Cyclotomic:
         return Cyclotomic(self, (x.numerator,) + self._pad, x.denominator)
 
+    def residue(self, ratios) -> tuple[tuple[int, ...] | None, int]:
+        """``(num, den)`` for sum_i (n_i / d_i) x**i, d_i > 0, as a
+        ``Cyclotomic`` holds it (one denominator, lowest terms), num None
+        for zero."""
+        den = lcm(*[d for _, d in ratios])
+        num = self._reduce([n * (den // d) for n, d in ratios])
+        g = gcd(den, *num)
+        return (tuple([c // g for c in num]), den // g) if any(num) else (None, 1)
+
     def element(self, coeffs) -> Cyclotomic:
         """Reduce an arbitrary-length rational coefficient sequence."""
-        fracs = [to_fraction(v) for v in coeffs]
-        den = lcm(*(f.denominator for f in fracs))
-        return _lowest(self, self._reduce([f.numerator * (den // f.denominator) for f in fracs]), den)
+        num, den = self.residue([(f.numerator, f.denominator) for f in map(to_fraction, coeffs)])
+        return Cyclotomic(self, num, den) if num else self.zero
 
     def from_rational(self, x) -> Cyclotomic:
         return self._rational(to_fraction(x))
@@ -475,30 +483,39 @@ RATIONALS = cyclotomic_field(1)
 
 
 class ExactMatrix:
-    """Immutable row-major matrix over one exact field."""
+    """Immutable matrix over one cyclotomic field, kept by rows: row i is
+    D_i, the lcm of its denominators, and the integer residues of D_i
+    times its entries, None for zero.  The form is canonical, so it
+    decides ``==`` and the hash; an entry is built only when read."""
 
-    __slots__ = ("field", "rows", "cols", "entries")
+    __slots__ = ("field", "rows", "cols", "_dens", "_residues")
 
     def __init__(self, field, rows: int, cols: int, entries):
         if rows < 0 or cols < 0:
             raise ValueError("negative dimensions")
-        ents = tuple(field.coerce(e) for e in entries)
+        ents = [field.coerce(e) for e in entries]
         if len(ents) != rows * cols:
             raise ValueError(f"expected {rows * cols} entries, got {len(ents)}")
-        self.field = field
-        self.rows = rows
-        self.cols = cols
-        self.entries = ents
+        pairs = [(e.num, e.den) if e else (None, 1) for e in ents]
+        self._set(field, cols, [pairs[i * cols : (i + 1) * cols] for i in range(rows)])
+
+    def _set(self, field, cols: int, rows) -> "ExactMatrix":
+        self.field, self.rows, self.cols = field, len(rows), cols
+        self._dens, self._residues = zip(*map(_integral, rows)) if rows else ((), ())
+        return self
+
+    @staticmethod
+    def from_residues(field, rows) -> "ExactMatrix":
+        """The matrix with rows of entries ``(num, den)``, as
+        ``CyclotomicField.residue`` gives them; no ``Cyclotomic`` is built."""
+        if any(len(r) != len(rows[0]) for r in rows):
+            raise ValueError("ragged rows")
+        return object.__new__(ExactMatrix)._set(field, len(rows[0]) if rows else 0, rows)
 
     @staticmethod
     def from_rows(field, rows) -> "ExactMatrix":
-        rows = [tuple(r) for r in rows]
-        ncols = len(rows[0]) if rows else 0
-        for r in rows:
-            if len(r) != ncols:
-                raise ValueError("ragged rows")
-        flat = [e for r in rows for e in r]
-        return ExactMatrix(field, len(rows), ncols, flat)
+        return ExactMatrix.from_residues(
+            field, [[(e.num, e.den) if e else (None, 1) for e in map(field.coerce, r)] for r in rows])
 
     @staticmethod
     def identity(field, n: int) -> "ExactMatrix":
@@ -509,18 +526,24 @@ class ExactMatrix:
     def zeros(field, rows: int, cols: int) -> "ExactMatrix":
         return ExactMatrix(field, rows, cols, [field.zero] * (rows * cols))
 
+    @property
+    def entries(self) -> tuple:
+        return tuple(e for i in range(self.rows) for e in self.row(i))
+
     def entry(self, i: int, j: int):
-        return self.entries[i * self.cols + j]
+        v = self._residues[i][j]
+        return self.field.zero if v is None else _lowest(self.field, v, self._dens[i])
 
     def row(self, i: int) -> tuple:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
+        field, den = self.field, self._dens[i]
+        return tuple(field.zero if v is None else _lowest(field, v, den) for v in self._residues[i])
 
     def iter_rows(self):
         for i in range(self.rows):
             yield self.row(i)
 
     def column(self, j: int) -> tuple:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
+        return tuple(self.entry(i, j) for i in range(self.rows))
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
         self._same_shape(other)
@@ -548,16 +571,9 @@ class ExactMatrix:
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} times {other.rows}x{other.cols}")
         zero = self.field.zero
-        out = []
         ocols = [other.column(j) for j in range(other.cols)]
-        for i in range(self.rows):
-            r = self.row(i)
-            for col in ocols:
-                acc = zero
-                for a, b in zip(r, col):
-                    if a and b:
-                        acc = acc + a * b
-                out.append(acc)
+        out = [sum((a * b for a, b in zip(r, col) if a and b), zero)
+               for r in self.iter_rows() for col in ocols]
         return ExactMatrix(self.field, self.rows, other.cols, out)
 
     def apply(self, vector) -> tuple:
@@ -566,14 +582,7 @@ class ExactMatrix:
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
         zero = self.field.zero
-        out = []
-        for i in range(self.rows):
-            acc = zero
-            for a, b in zip(self.row(i), v):
-                if a and b:
-                    acc = acc + a * b
-            out.append(acc)
-        return tuple(out)
+        return tuple(sum((a * b for a, b in zip(r, v) if a and b), zero) for r in self.iter_rows())
 
     def _same_shape(self, other: "ExactMatrix") -> None:
         if self.field != other.field:
@@ -587,11 +596,12 @@ class ExactMatrix:
             and self.field == other.field
             and self.rows == other.rows
             and self.cols == other.cols
-            and self.entries == other.entries
+            and self._dens == other._dens
+            and self._residues == other._residues
         )
 
     def __hash__(self) -> int:
-        return hash((self.field, self.rows, self.cols, self.entries))
+        return hash((self.field, self.cols, self._dens, self._residues))
 
     def __repr__(self) -> str:
         body = "; ".join(", ".join(repr(e) for e in self.row(i)) for i in range(self.rows))
@@ -700,22 +710,19 @@ def inverse(m: ExactMatrix) -> ExactMatrix:
     return ExactMatrix(field, n, n, flat)
 
 
-def _integral_row(row) -> tuple[int, list]:
-    """``(D, residues)`` for a row of field elements: D is the lcm of
-    the row's denominators and ``residues[j]`` the integer residue of
-    D * row[j], or None where row[j] is zero."""
-    den = lcm(*(e.den for e in row))
-    return den, [
-        (e.num if e.den == den else [c * (den // e.den) for c in e.num]) if e else None
-        for e in row
-    ]
+def _integral(row) -> tuple[int, tuple]:
+    """``(D, residues)`` for a row of entries ``(num, den)``: D is the lcm of
+    the denominators and ``residues[j]`` D times entry j, None for zero."""
+    den = lcm(*(d for _, d in row))
+    return den, tuple(num if d == den or num is None else tuple(c * (den // d) for c in num)
+                      for num, d in row)
 
 
-def residue_rows(m: ExactMatrix) -> list[list]:
-    """m's rows for ``residue_rank``: each row times the lcm of its
-    denominators, as integer residues, with None for a zero entry.
-    Scaling a row by a nonzero integer keeps the row space."""
-    return [_integral_row(row)[1] for row in m.iter_rows()]
+def residue_rows(m: ExactMatrix) -> tuple[tuple, ...]:
+    """m's rows for ``residue_rank``, as m keeps them: each row times the
+    lcm of its denominators, as integer residues, with None for a zero
+    entry.  Scaling a row by a nonzero integer keeps the row space."""
+    return m._residues
 
 
 def _minus(x, y: list):
@@ -824,20 +831,19 @@ class ResidueMap:
     def __init__(self, m: ExactMatrix):
         if m.rows != m.cols:
             raise ValueError("a residue map needs a square matrix")
-        self.field = m.field
-        self.dens, self.rows = zip(*map(_integral_row, m.iter_rows())) if m.rows else ((), ())
+        self.field, self.dens, self.rows = m.field, m._dens, m._residues
 
     def bits(self) -> int:
         """The total length in bits of the integers held."""
         return sum(abs(t).bit_length() for row in self.rows for v in row if v is not None for t in v)
 
     def _shift(self, e: int) -> list[list[int]]:
-        z = self.field.zeta(e).num
+        z = self.field._shifted_sum([(1, (1,))], e)  # zeta_d**e
         return [[den * t for t in z] for den in self.dens]
 
     def nullity(self, e: int) -> int:
         """n - rank(m - zeta_d**e I), the shift on the diagonal only."""
-        shifted = [row[:i] + [_minus(row[i], z)] + row[i + 1:]
+        shifted = [row[:i] + (_minus(row[i], z),) + row[i + 1:]
                    for i, (row, z) in enumerate(zip(self.rows, self._shift(e)))]
         return len(shifted) - residue_rank(self.field, shifted)
 
@@ -905,34 +911,29 @@ def hessenberg(m: ExactMatrix) -> ExactMatrix:
     return ExactMatrix(m.field, n, n, [e for row in h for e in row])
 
 
-def _hessenberg_charpoly(h: ExactMatrix) -> tuple:
-    """Coefficients of det(x I - h) for an upper Hessenberg h, constant
-    term first; monic, of length n + 1.
-
-    Read off by the recurrence over the leading principal minors
-    (Cohen 1993, Alg. 2.2.9), with no inverse.
-    """
-    n = h.rows
-    zero, one = h.field.zero, h.field.one
+def _hessenberg_charpoly(h: ExactMatrix) -> list[list[int]]:
+    """det(x D - R) = det(D) det(x I - h) in integer residues, constant
+    term first, for an upper Hessenberg h = D^-1 R in integral rows, D =
+    diag(D_i).  Read off by the recurrence over the leading principal
+    minors (Cohen 1993, Alg. 2.2.9) with D_k x for x: no inverse."""
+    times = h.field._times
+    dens, rows = h._dens, h._residues
+    one = h.field.one.num
     polys = [[one]]
-    for k in range(n):
-        # p_{k+1} = (x - h_kk) p_k - sum_{r<k} h_rk h_{r+1,r} ... h_{k,k-1} p_r
-        prev = polys[-1]
-        p = [zero] + prev
-        hkk = h.entry(k, k)
-        for t, c in enumerate(prev):
-            p[t] = p[t] - hkk * c
-        t_acc = one
-        for r in range(k - 1, -1, -1):
-            t_acc = t_acc * h.entry(r + 1, r)
-            if not t_acc:
-                break
-            coef = t_acc * h.entry(r, k)
-            if coef:
+    for k in range(h.rows):
+        # p_{k+1} = (D_k x - R_kk) p_k - sum_{r<k} R_rk R_{r+1,r} ... R_{k,k-1} p_r
+        p = [[0] * len(one)] + [[dens[k] * t for t in c] for c in polys[k]]
+        acc = one
+        for r in range(k, -1, -1):
+            if rows[r][k] is not None:
+                coef = times(acc, rows[r][k])
                 for t, c in enumerate(polys[r]):
-                    p[t] = p[t] - coef * c
+                    p[t] = [a - b for a, b in zip(p[t], times(coef, c))]
+            if not r or rows[r][r - 1] is None:
+                break
+            acc = times(acc, rows[r][r - 1])
         polys.append(p)
-    return tuple(polys[n])
+    return polys[-1]
 
 
 def charpoly(m: ExactMatrix) -> tuple:
@@ -941,19 +942,20 @@ def charpoly(m: ExactMatrix) -> tuple:
     and one inverse per column."""
     if m.rows != m.cols:
         raise ValueError("characteristic polynomial of a non-square matrix")
-    return _hessenberg_charpoly(hessenberg(m))
+    poly = _hessenberg_charpoly(hessenberg(m))
+    return tuple(_lowest(m.field, c, poly[-1][0]) for c in poly)
 
 
 def _root_exponents(field, poly) -> list[tuple[int, bool]]:
     """``(e, repeated)`` for each exponent e in 0..d-1 at which zeta_d**e
-    is a root of the polynomial with coefficients ``poly`` in the field,
-    constant term first; ``repeated`` says whether the derivative
-    vanishes there too, that is whether (x - zeta_d**e)**2 divides the
-    polynomial.  Evaluated in integer residues by
-    ``CyclotomicField._shifted_sum``, one reduction per evaluation and no
-    product; the derivative's term k c_k x**(k-1) is k c_k shifted by
-    e (k - 1)."""
-    terms = [(k, c) for k, c in enumerate(_integral_row(poly)[1]) if c is not None]
+    is a root of the polynomial with coefficients ``poly``, integer
+    residues (None for zero) over one positive integer, constant term
+    first; ``repeated`` says whether the derivative vanishes there too,
+    that is whether (x - zeta_d**e)**2 divides the polynomial.
+    Evaluated by ``CyclotomicField._shifted_sum``, one reduction per
+    evaluation and no product; the derivative's term k c_k x**(k-1) is
+    k c_k shifted by e (k - 1)."""
+    terms = [(k, c) for k, c in enumerate(poly) if c and any(c)]
     derivative = [(k - 1, [k * a for a in c]) for k, c in terms if k]
 
     def vanishes(pairs, e: int) -> bool:

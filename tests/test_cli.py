@@ -21,17 +21,21 @@ from parastrata import (
 )
 from parastrata.cli import (
     MAX_DESCEND_ORDER,
+    MAX_FLAGCOH_RANK,
     _codim_result,
     _compact_json,
     _report_json,
     echo_points,
     parse_fraction,
+    parse_matrix,
+    parse_scalar,
     run_command,
-    scalar_json,
+    scalar_echo,
 )
+from parastrata.exact import Cyclotomic, ExactMatrix, cyclotomic_field
 
 from test_acceptance import multiplicity_systems
-from util import benchmark_gen, random_flag_automorphism, strata_report_oracle
+from util import benchmark_gen, random_flag_automorphism, scalar_json, scalar_value, strata_report_oracle
 
 
 def run_json(argv, payload):
@@ -104,6 +108,21 @@ def test_pushforward_subcommand():
     assert res["rank"] == 2
     assert res["par_degree"] == "3/4"
     assert res["points"]["p"] == {"weights": ["1/4", "1/2"], "mults": [1, 1]}
+
+
+def test_pushforward_sums_the_parabolic_degree_once(monkeypatch):
+    """The report's slope is its parabolic degree over the rank: the
+    degree is summed once, and the slope is par_slope's."""
+    import parastrata.cover as cover
+    import parastrata.parabolic as pb
+
+    pushed = cover.pushforward(cover.CoverSpec.of(2, {"p": ["q1", "q2"]}),
+                               pb.ParabolicDatum.of(1, 0, {"q1": pb.PointWeights.of(["1/4"], [1]),
+                                                           "q2": pb.PointWeights.of(["1/2"], [1])}))
+    calls = _count_calls(monkeypatch, pb, ("par_degree", "par_slope"))
+    res = result_of(["pushforward"], PUSH_EXAMPLE)["result"]
+    assert calls == {"par_degree": 1, "par_slope": 0}
+    assert res["par_slope"] == str(pb.par_slope(pushed)) == "3/8"
 
 
 def test_descend_subcommand():
@@ -531,6 +550,18 @@ def test_descend_order_is_bounded():
     assert report["input"]["order"] == MAX_DESCEND_ORDER
 
 
+def test_flagcoh_rank_is_bounded():
+    """A type of total rank above `MAX_FLAGCOH_RANK` exits 2 naming
+    `$.type`, with nothing on stdout: A_(2**70) would not fit an index
+    and A_3000000000 would not fit in memory.  The cap itself runs."""
+    message = b"error: $.type: expected a total rank <= %d\n" % MAX_FLAGCOH_RANK
+    for comps in ([["A", 2**70]], [["A", 3000000000]], [["A", MAX_FLAGCOH_RANK + 1]],
+                  [["A", MAX_FLAGCOH_RANK], ["A", 1]]):
+        assert run_json(["flagcoh"], {"type": comps, "parabolics": [[1]]}) == (2, b"", message)
+    report = result_of(["flagcoh"], {"type": [["B", MAX_FLAGCOH_RANK]], "parabolics": [[1]]})
+    assert report["input"]["type"] == [["B", MAX_FLAGCOH_RANK]]
+
+
 def test_parse_fraction_matches_fraction():
     big = "9" * 4000
     for s in ["0", "+0", "-0", "0/7", "-0/3", "007", "+007/9", "-12/8", "3/1", "1/4",
@@ -759,6 +790,80 @@ def test_scalars_are_parsed_per_request():
     assert [run_json(["descend"], payload) for payload in (rotate, swap)] == first[::-1]
     assert run_json(["descend"], dict(swap, order=3)) == (
         2, b"", b"error: $: matrix to the power 3 is not the identity\n")
+
+
+# --- descend's residue parse against the Cyclotomic path -------------------------
+
+# every order the descend benchmark draws, and the rationals
+_ORDERS = (1, 2, 3, 4, 5, 6, 8, 12, 15, 16, 18, 20, 24, 30)
+_RATIONAL_STRINGS = hs.builds(
+    lambda sign, num, den: f"{sign}{num}" + (f"/{den}" if den else ""),
+    hs.sampled_from(["", "+", "-"]),
+    hs.from_regex(r"[0-9]{1,3}", fullmatch=True),
+    hs.one_of(hs.none(), hs.integers(1, 60)),
+)
+_RAW_SCALARS = hs.one_of(_RATIONAL_STRINGS, hs.integers(-50, 50), hs.lists(_RATIONAL_STRINGS, max_size=8))
+
+
+@settings(max_examples=120)
+@given(hs.sampled_from(_ORDERS), hs.lists(_RAW_SCALARS, min_size=1, max_size=6))
+@example(3, ["+007/9", "-0/3", ["+007/9", "-0/3"], ["1/2", "1/3"], ["0", "2/4"], []])
+@example(12, [["1/6", "-5/10", "0", "3/9"], ["0", "0", "0", "0"], "-12/8"])
+@example(30, [["1"] * 8, ["0", "1", "0", "0", "0", "0", "0", "-1"]])
+def test_residue_parse_matches_the_cyclotomic_path(order, raw):
+    """Each scalar that fits the field parses to the residue and
+    denominator of the ``Cyclotomic`` that ``field.element`` or
+    ``from_rational`` make of its ``Fraction`` values, and echoes as the
+    old ``scalar_json`` of that element; a row of them is the same
+    ``ExactMatrix`` either way."""
+    field = cyclotomic_field(order)
+    raw = [x for x in raw if not isinstance(x, list) or len(x) <= field.degree]
+    if not raw:
+        return
+    for x in raw:
+        num, den = parse_scalar(x, "$", field)
+        value = scalar_value(x, field)
+        assert (num, den) == ((value.num, value.den) if value else (None, 1)), x
+        assert scalar_echo(num, den) == scalar_json(value), x
+    rows, echo = parse_matrix([raw], "$", field, {})
+    values = [scalar_value(x, field) for x in raw]
+    assert ExactMatrix.from_residues(field, rows) == ExactMatrix.from_rows(field, [values])
+    assert echo == [[scalar_json(v) for v in values]]
+
+
+def test_descend_parse_flag_and_counts_build_no_cyclotomic(monkeypatch):
+    """From the JSON to the rank, descend keeps its matrices in integer
+    residues: on README's example and the benchmark's seed-0 round, the
+    parse, the flag's checks and the level counts build no ``Cyclotomic``.
+    Only the automorphism's order check does, around the Hessenberg
+    form's pivot inverses."""
+    import parastrata.eigenflag as ef
+
+    rounds, _ = benchmark_gen(monkeypatch).streams("descend", 0)
+    payloads = [DESCEND_EXAMPLE] + [req.payload for req in next(rounds)]
+    fields = {p["order"]: cyclotomic_field(p["order"]) for p in payloads}
+    built = [0]
+    init = Cyclotomic.__init__
+
+    def counted(self, *args):
+        built[0] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(Cyclotomic, "__init__", counted)
+    order_check = 0
+    for payload in payloads:
+        order, field, scalars = payload["order"], fields[payload["order"]], {}
+        rows = parse_matrix(payload["automorphism"], "$", field, scalars)[0]
+        subspaces = [parse_matrix(sub, "$", field, scalars)[0] for sub in payload["flag"]["subspaces"]]
+        weights = [parse_fraction(w, "$") for w in payload["flag"]["weights"]]
+        assert built == [0], payload
+        phi = ef.FlagAutomorphism(ExactMatrix.from_residues(field, rows), order)
+        order_check += built[0]
+        built[0] = 0
+        flag = ef.WeightedFlag(order, [ExactMatrix.from_residues(field, sub) for sub in subspaces], weights)
+        ef.descend(phi, flag, order)
+        assert built == [0], payload
+    assert order_check > 0
 
 
 # --- descend corpus: bytes pinned across changes to the descend path ------------

@@ -389,6 +389,39 @@ def test_rank_kernel_matches_rref(m):
     assert rank(m) == len(rref(m)[1])
 
 
+@settings(max_examples=60)
+@given(hs.sampled_from(RANK_ORDERS), hs.integers(1, 4), hs.integers(0, 4), hs.data())
+def test_matrix_from_residues_equals_matrix_from_elements(order, rows, cols, data):
+    """A matrix built from rows of ``(num, den)`` residues, as the CLI
+    builds it, is the matrix built from the same values as ``Cyclotomic``
+    entries: equal, with the same hash, entries, rows and single
+    entries.  The stored rows are canonical, so changing an entry's
+    value changes the matrix."""
+    field = cyclotomic_field(order)
+    coeff = hs.fractions(min_value=-3, max_value=3, max_denominator=6)
+    raw = data.draw(hs.lists(hs.lists(coeff, max_size=field.degree), min_size=rows * cols, max_size=rows * cols))
+    elements = [field.element(c) for c in raw]
+    by_rows = [[field.residue([(f.numerator, f.denominator) for f in c]) for c in raw[i * cols:(i + 1) * cols]]
+               for i in range(rows)]
+    m = ExactMatrix.from_residues(field, by_rows)
+    for other in (ExactMatrix(field, rows, cols, elements),
+                  ExactMatrix.from_rows(field, [elements[i * cols:(i + 1) * cols] for i in range(rows)])):
+        assert (m.rows, m.cols) == (other.rows, other.cols)
+        assert m == other and hash(m) == hash(other)
+    assert m.entries == tuple(elements)
+    for i in range(rows):
+        assert m.row(i) == tuple(elements[i * cols:(i + 1) * cols])
+        for j in range(cols):
+            e, x = m.entry(i, j), elements[i * cols + j]
+            assert (e.num, e.den) == (x.num, x.den)
+    if cols:
+        changed = list(elements)
+        changed[-1] = changed[-1] + Fraction(1, 2)
+        assert ExactMatrix(field, rows, cols, changed) != m
+    # equal residues over different denominators
+    assert ExactMatrix.from_rows(field, [[Fraction(1, 2)]]) != ExactMatrix.from_rows(field, [[Fraction(1, 3)]])
+
+
 def test_rank_kernel_edge_shapes():
     f = cyclotomic_field(5)
     assert rank(ExactMatrix.zeros(f, 0, 0)) == 0

@@ -2,8 +2,10 @@
 parabolic data, covers, and finite-order flag automorphisms; matrix
 powers; and a reference arithmetic for Q(zeta_d) on ``Fraction``
 coefficients (schoolbook product, extended-Euclid inverse); the
-benchmark's input generator, loaded as a module; and the tree-built
-``strata`` report, the slow oracle for the CLI's listing."""
+benchmark's input generator, loaded as a module; the tree-built
+``strata`` report, the slow oracle for the CLI's listing; and the
+``descend`` scalar parse through ``Cyclotomic`` values, the oracle for
+the CLI's residue parse."""
 
 import importlib.util
 import json
@@ -23,7 +25,7 @@ from parastrata import (
     rank,
 )
 from parastrata import strata as st
-from parastrata.cli import VERSION, _parse_strata_common, echo_point
+from parastrata.cli import VERSION, _parse_strata_common, echo_point, frac_str, parse_fraction
 
 
 def benchmark_gen(monkeypatch):
@@ -230,3 +232,23 @@ def ref_inverse(field, a):
         s0, s1 = s1, _trim(nxt)
     assert len(r0) == 1, "gcd with the modulus is not constant"
     return ref_reduce(field, [c / r0[0] for c in s0])
+
+
+# --- descend scalars through Cyclotomic values ---------------------------------
+
+
+def scalar_value(x, field):
+    """A valid raw ``descend`` scalar, a rational string or a coefficient
+    list, as a ``Cyclotomic``: through ``Fraction`` values, by
+    ``field.element`` and ``field.from_rational``."""
+    if isinstance(x, list):
+        return field.element([parse_fraction(c, "$") for c in x])
+    return field.from_rational(parse_fraction(x, "$"))
+
+
+def scalar_json(value):
+    """A field element as ``descend`` echoes it: a rational string, or
+    the rational strings of its power-basis coefficients."""
+    if value.is_rational():
+        return frac_str(value.rational_value())
+    return [frac_str(c) for c in value.coeffs]
