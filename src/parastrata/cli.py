@@ -16,6 +16,7 @@ import re
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring
+from math import isqrt
 
 from . import cover as cover_mod
 from . import eigenflag as ef
@@ -34,6 +35,11 @@ MAX_DESCEND_ORDER = 1000
 # the largest total rank of a `flagcoh` type: B_n's Poincare polynomial has
 # degree n**2, and a report lists every coefficient of each factor
 MAX_FLAGCOH_RANK = 100
+# the most work a `codim --sweep` may take, counted before its first line by
+# `_sweep_estimate`: divisor steps, generated points and lines together.  The
+# sweep is buffered: 170,786 lines take about 2 s and peak at 145 MiB on a
+# 2-vCPU x86_64 host with Python 3.11
+MAX_SWEEP_WORK = 200_000
 
 # ASCII digits only, and \Z: `$` would also match before a trailing newline
 _FRACTION_RE = re.compile(r"([+-]?[0-9]+)(?:/([1-9][0-9]*))?\Z")
@@ -173,13 +179,33 @@ def scalar_echo(num, den: int) -> object:
     return echo if len(echo) > 1 else echo[0]
 
 
+def _parse_new(x, key, path: str, field, scalars: dict) -> tuple[tuple, object]:
+    """The ``(entry, echo)`` of a raw scalar not yet in ``scalars``, kept
+    there under ``key`` unless it is None.  Each coefficient string of a
+    tuple key is looked up, or parsed and kept, as the rational scalar it
+    is.  A scalar that fails to parse is not kept."""
+    if type(key) is tuple and len(key) <= field.degree:
+        ratios = []
+        for k, c in enumerate(key):
+            parsed = scalars.get(c) or _parse_new(c, c, f"{path}[{k}]", field, scalars)
+            num, den = parsed[0]
+            ratios.append((num[0] if num else 0, den))
+        entry = field.residue(ratios)
+    else:
+        entry = parse_scalar(x, path, field)
+    parsed = (entry, scalar_echo(*entry))
+    if key is not None:
+        scalars[key] = parsed
+    return parsed
+
+
 def parse_matrix(doc, path: str, field, scalars: dict) -> tuple[list[list], list[list]]:
     """The matrix's rows of entries ``(num, den)`` and their echo.
     ``scalars`` belongs to one request: it maps a raw scalar already met
     there, a string or a tuple of coefficient strings, to its ``(entry,
-    echo)``, so each distinct one is parsed and echoed once.  Other JSON
-    values are not keys: ``1``, ``1.0`` and ``true`` hash alike but do
-    not parse alike."""
+    echo)``, so each distinct one, and each distinct coefficient string,
+    is parsed and echoed once.  Other JSON values are not keys: ``1``,
+    ``1.0`` and ``true`` hash alike but do not parse alike."""
     arr = expect_array(doc, path)
     if not arr:
         raise ValidationError(path, "matrix must be nonempty")
@@ -199,12 +225,7 @@ def parse_matrix(doc, path: str, field, scalars: dict) -> tuple[list[list], list
                 key = tuple(x)
             else:
                 key = None
-            parsed = scalars.get(key)
-            if parsed is None:
-                entry = parse_scalar(x, f"{path}[{i}][{j}]", field)
-                parsed = (entry, scalar_echo(*entry))
-                if key is not None:
-                    scalars[key] = parsed
+            parsed = scalars.get(key) or _parse_new(x, key, f"{path}[{i}][{j}]", field, scalars)
             values.append(parsed[0])
             echoes.append(parsed[1])
         rows.append(values)
@@ -418,12 +439,9 @@ def _sweep_systems(rank: int, max_points: int, max_len: int):
             yield points, "[" + ",".join(echo for _, echo in combo) + "]"
 
 
-def cmd_codim_sweep(payload) -> str:
-    """The sweep's text: one compact JSON line per (g, r, d, system), in
-    that nesting order, each ended by a newline: the echo of the
-    configuration, then the `_codim_result` fields.  A spec is built once
-    per (g, r, system) and serves every d, and a line is one
-    `codim_report` and one `_codim_line`."""
+def _parse_sweep(payload) -> tuple:
+    """A sweep's ``(gs, rs, ds, max_points, max_len)``, validated; ds is
+    None when every cover degree is swept."""
     doc = expect_object(payload, "$")
     expect_keys(doc, "$", ("g", "r"), optional=("d", "max_points", "max_flag_length"))
     gs = _parse_range(doc["g"], "$.g")
@@ -435,9 +453,71 @@ def cmd_codim_sweep(payload) -> str:
         raise ValidationError("$.g", "genus values must be >= 2")
     if rs[0] < 1:
         raise ValidationError("$.r", "rank values must be >= 1")
+    return gs, rs, ds, max_points, max_len
+
+
+def _cover_degrees(r: int, ds) -> list[int]:
+    """The cover degrees d > 1 dividing r that the sweep takes: all of
+    them when ds is None, else those in ds."""
+    return [d for d in divisors(r)[1:] if ds is None or d in ds]
+
+
+def _sweep_estimate(gs, rs, ds, max_points: int, max_len: int, budget: int) -> tuple[int, int]:
+    """``(work, lines)`` of a sweep, counted in closed form before it runs.
+    Each rank r takes isqrt(r) divisor steps; one with cover degrees D_r
+    also generates P_r = sum_k C(r - 1, k - 1) points, k up to
+    ``max_len``, and writes |D_r| * sum_{n <= max_points} P_r**n lines per
+    genus.  The work is the sum of the steps, the points and the lines.
+    Once it passes ``budget`` a ValidationError names the field that took
+    it there, so each loop ends within about ``budget`` steps, and none
+    runs over ``max_points`` or g."""
+    work = 0
+
+    def charge(n: int, path: str) -> None:
+        nonlocal work
+        work += n
+        if work > budget:
+            raise ValidationError(path, f"the sweep exceeds its work budget of {budget} "
+                                        "divisor steps, points and lines")
+
+    per_genus = 0
+    for r in rs:
+        charge(isqrt(r), "$.r")
+        degrees = len(_cover_degrees(r, ds))
+        if not degrees:
+            continue
+        points, term = 0, 1
+        for k in range(1, min(max_len, r) + 1):
+            points += term  # term = C(r - 1, k - 1)
+            if work + points > budget:
+                break
+            term = term * (r - k) // k
+        charge(points, "$.r")
+        if points == 1:
+            systems = max_points + 1
+        elif max_points < budget.bit_length():
+            systems = (points ** (max_points + 1) - 1) // (points - 1)
+        else:  # at least 2**max_points, past the budget
+            systems = budget + 1
+        per_genus += degrees * systems
+        charge(degrees * systems, "$.max_points" if max_points else "$.r")
+    genera = len(gs) if isinstance(gs, list) else gs.stop - gs.start
+    charge((genera - 1) * per_genus, "$.g")
+    return work, genera * per_genus
+
+
+def cmd_codim_sweep(payload) -> str:
+    """The sweep's text: one compact JSON line per (g, r, d, system), in
+    that nesting order, each ended by a newline: the echo of the
+    configuration, then the `_codim_result` fields.  A spec is built once
+    per (g, r, system) and serves every d, and a line is one
+    `codim_report` and one `_codim_line`.  A sweep whose work passes
+    `MAX_SWEEP_WORK` is refused before any line is made."""
+    gs, rs, ds, max_points, max_len = _parse_sweep(payload)
+    _sweep_estimate(gs, rs, ds, max_points, max_len, MAX_SWEEP_WORK)
     plan = []
     for r in rs:
-        d_list = [d for d in divisors(r)[1:] if ds is None or d in ds]
+        d_list = _cover_degrees(r, ds)
         if d_list:
             plan.append((r, d_list, list(_sweep_systems(r, max_points, max_len))))
     if not plan:

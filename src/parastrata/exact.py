@@ -23,8 +23,9 @@ whose elements equal and hash like the ``Fraction`` they hold.
 Ranks come from one fraction-free kernel, ``residue_rank``, on such
 rows: Bareiss elimination in which the previous pivot's other Galois
 conjugates and the integer content stand in for the division by that
-pivot, so no inverse is taken and no ``Cyclotomic`` is built.  ``rank``
-uses it, and so does every check of ``eigenflag.descend``: the flag's
+pivot, so no inverse is taken and no ``Cyclotomic`` is built; rows over
+Q are ranked by the same elimination on plain ints.  ``rank`` uses it,
+and so does every check of ``eigenflag.descend``: the flag's
 independence and containment, the automorphism's eigenspace dimensions
 (``eigen_nullities``: read off the characteristic polynomial of the
 ``hessenberg`` form, one at a simple root, and ranked only at a repeated
@@ -377,21 +378,36 @@ class CyclotomicField:
 
     def _times(self, a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
         """The product of two integer residues, reduced."""
-        if self.degree == 1:
-            return [a[0] * b[0]]
-        nonzero = [(j, y) for j, y in enumerate(b) if y]
-        if len(nonzero) == 1 and not nonzero[0][0]:  # b is rational
+        if not any(b[1:]):  # b is rational, as is every residue when the degree is 1
             y = b[0]
             return [x * y for x in a]
         if not any(a[1:]):  # a is rational
             x = a[0]
             return [x * y for y in b]
+        nonzero = [(j, y) for j, y in enumerate(b) if y]
         conv = [0] * (2 * self.degree - 1)
         for i, x in enumerate(a):
             if x:
                 for j, y in nonzero:
                     conv[i + j] += x * y
         return self._reduce(conv)
+
+    def _cross(self, a, u, x, v) -> list[int] | None:
+        """a * u - x * v for integer residues, u or v None for zero: one
+        convolution and one reduction, None if the result is zero."""
+        conv = [0] * (2 * self.degree - 1)
+        if u is not None:
+            for i, s in enumerate(a):
+                if s:
+                    for j, t in enumerate(u, i):
+                        conv[j] += s * t
+        if v is not None:
+            for i, s in enumerate(x):
+                if s:
+                    for j, t in enumerate(v, i):
+                        conv[j] -= s * t
+        out = self._reduce(conv)
+        return out if any(out) else None
 
     def _shifted_sum(self, pairs, e: int) -> list[int]:
         """sum_k c_k zeta**(e k), reduced, for pairs ``(k, c_k)`` of
@@ -731,6 +747,56 @@ def _minus(x, y: list):
     return out if any(out) else None
 
 
+def _rational_rows(rows) -> list[list[int]] | None:
+    """The constant coefficients of rows of integer residues, zero for
+    None, if every entry is rational; None otherwise."""
+    out = []
+    for row in rows:
+        ints = []
+        for v in row:
+            if v is None:
+                ints.append(0)
+            elif any(v[1:]):
+                return None
+            else:
+                ints.append(v[0])
+        out.append(ints)
+    return out
+
+
+def _integer_rank(rows: list[list[int]]) -> int:
+    """Rank over Q of integer rows, which it modifies: ``residue_rank``'s
+    elimination on plain ints.  A row holding x under the pivot a becomes
+    a * row - x * pivot, its content divided out, which takes Bareiss's
+    divisor since every pivot is an integer."""
+    width = len(rows[0]) if rows else 0
+    rank = 0
+    for c in range(width):
+        for i, r in enumerate(rows):
+            if r[c]:
+                break
+        else:
+            continue
+        pivot = rows.pop(i)
+        rank += 1
+        a = pivot[c]
+        kept = []
+        for r in rows:
+            x = r[c]
+            if x:
+                r = [a * u - x * v for u, v in zip(r, pivot)]
+                g = gcd(*r)
+                if not g:
+                    continue
+                if g != 1:
+                    r = [t // g for t in r]
+            kept.append(r)
+        if not kept:
+            break
+        rows = kept
+    return rank
+
+
 def residue_rank(field, rows) -> int:
     """Rank over Q(zeta_d) of rows of integer residues, zero entries
     None, as ``residue_rows`` gives them.  The rows are not modified.
@@ -755,8 +821,16 @@ def residue_rank(field, rows) -> int:
     no conjugates, nor does a rational p, whose factor is an integer
     that the content takes: on a Hessenberg matrix, whose rows are each
     reduced once, and over Q, rows are only made primitive.
+
+    Rows over Q, every entry None or rational, are ranked on their
+    constant coefficients as plain ints (``_rational_rows``,
+    ``_integer_rank``), with the same pivots: their rank over Q(zeta_d)
+    is their rank over Q.
     """
-    times = field._times
+    ints = _rational_rows(rows)
+    if ints is not None:
+        return _integer_rank(ints)
+    times, cross = field._times, field._cross
     conjugates: dict = {}  # s -> those of the pivot of step s - 1, None if rational
 
     def primitive(row, s):
@@ -793,19 +867,15 @@ def residue_rank(field, rows) -> int:
         a = pivot[c]
         pivots.append(a)
         k = len(pivots)
-        tail = [(j, pivot[j]) for j in range(c + 1, width) if pivot[j] is not None]
+        rest = pivot[c + 1:]
         kept = []
         for s, r in work:
             x = r[c]
             if x is None:
                 kept.append((s, r))
                 continue
-            new = [None] * width
-            for j in range(c + 1, width):
-                if r[j] is not None:
-                    new[j] = times(a, r[j])
-            for j, y in tail:
-                new[j] = _minus(new[j], times(x, y))
+            new = [None] * (c + 1)
+            new += [None if u is None and v is None else cross(a, u, x, v) for u, v in zip(r[c + 1:], rest)]
             new = primitive(new, s)
             if new is not None:
                 kept.append((k, new))

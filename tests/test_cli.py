@@ -22,9 +22,13 @@ from parastrata import (
 from parastrata.cli import (
     MAX_DESCEND_ORDER,
     MAX_FLAGCOH_RANK,
+    MAX_SWEEP_WORK,
+    ValidationError,
     _codim_result,
     _compact_json,
+    _parse_sweep,
     _report_json,
+    _sweep_estimate,
     echo_points,
     parse_fraction,
     parse_matrix,
@@ -392,12 +396,47 @@ def _sweep_oracle(payload) -> list[str]:
 @pytest.mark.parametrize("payload", SWEEP_ORACLE_PAYLOADS)
 def test_sweep_lines_match_per_configuration_reports(payload):
     """Every sweep line equals the line built on its own, with a fresh
-    spec, echo and report, in the sweep's (g, r, d, system) order."""
+    spec, echo and report, in the sweep's (g, r, d, system) order; the
+    work estimate counts exactly those lines."""
     code, out, err = run_json(["codim", "--sweep"], payload)
     assert code == 0, err
     expected = _sweep_oracle(payload)
     assert expected
     assert out.decode().split("\n") == expected + [""]
+    work, lines = _sweep_estimate(*_parse_sweep(payload), MAX_SWEEP_WORK)
+    assert lines == len(expected) <= work <= MAX_SWEEP_WORK
+
+
+def test_sweep_work_is_bounded():
+    """A sweep whose work passes `MAX_SWEEP_WORK` exits 2 within a second,
+    naming the field, with nothing on stdout: lines growing as 2**64, a
+    rank whose divisors take 10**15 steps, one generating 5 * 10**9
+    points, and 2**70 genera.  The limit is tested through the estimate,
+    which admits the 170,786-line sweep without running it."""
+    message = "error: %s: the sweep exceeds its work budget of %d divisor steps, points and lines\n"
+    for payload, field in [
+        ({"g": [2], "r": [2], "max_points": 64}, "$.max_points"),
+        ({"g": [2], "r": [10**30], "max_points": 0}, "$.r"),
+        ({"g": [2], "r": [100000], "max_points": 0}, "$.r"),
+        ({"g": {"min": 2, "max": 2**70}, "r": [2]}, "$.g"),
+        ({"g": [2], "r": {"min": 1, "max": 2**70}, "d": [2], "max_flag_length": 1}, "$.r"),
+        ({"g": [2], "r": [3], "max_points": 2**70, "max_flag_length": 1}, "$.max_points"),
+    ]:
+        start = time.perf_counter()
+        result = run_json(["codim", "--sweep"], payload)
+        assert time.perf_counter() - start < 1, payload
+        assert result == (2, b"", (message % (field, MAX_SWEEP_WORK)).encode()), payload
+    big = _parse_sweep({"g": [2, 3], "r": {"min": 2, "max": 10}, "max_flag_length": 4})
+    work, lines = _sweep_estimate(*big, MAX_SWEEP_WORK)
+    assert (work, lines) == (18 + 384 + 170786, 170786)
+    small = _parse_sweep({"g": {"min": 2, "max": 5}, "r": [2, 3, 4, 6]})
+    work, lines = _sweep_estimate(*small, MAX_SWEEP_WORK)
+    assert lines == 3844
+    assert _sweep_estimate(*small, work) == (work, lines)
+    for field, args in (("$.g", small), ("$.max_points", ([2],) + small[1:])):
+        work = _sweep_estimate(*args, MAX_SWEEP_WORK)[0]
+        with pytest.raises(ValidationError, match=rf"^\{field}: "):
+            _sweep_estimate(*args, work - 1)
 
 
 def _sweep_range(values, width, top):
@@ -430,7 +469,9 @@ def test_sweep_lines_match_per_configuration_reports_on_random_payloads(payload)
     single-weight lines say codim_at_least_three is false."""
     code, out, err = run_json(["codim", "--sweep"], payload)
     assert (code, err) == (0, b""), err
-    assert out.decode() == "".join(line + "\n" for line in _sweep_oracle(payload))
+    expected = _sweep_oracle(payload)
+    assert out.decode() == "".join(line + "\n" for line in expected)
+    assert _sweep_estimate(*_parse_sweep(payload), MAX_SWEEP_WORK)[1] == len(expected)
 
 
 def test_sweep_line_is_one_report_and_one_format(monkeypatch):
@@ -776,6 +817,26 @@ def test_repeated_bad_scalar_fails_at_its_first_path():
             "flag": {"weights": ["0"], "subspaces": [[["1", bad], ["0", "1"]]]},
         }
         assert run_json(["descend"], payload) == (2, b"", f"error: {first}: {message}\n".encode())
+
+
+def test_descend_parses_each_string_once(monkeypatch):
+    """Within a request each distinct string is parsed once, whether it
+    is a scalar or a power-basis coefficient: on README's example, the
+    non-canonical one above and the benchmark's seed-0 round."""
+    import parastrata.cli as cli
+
+    rounds, _ = benchmark_gen(monkeypatch).streams("descend", 0)
+    parsed = []
+    ratio = cli._ratio
+    monkeypatch.setattr(cli, "_ratio", lambda x, path: parsed.append(x) or ratio(x, path))
+    for payload in [DESCEND_EXAMPLE, NONCANONICAL_DESCEND] + [req.payload for req in next(rounds)]:
+        field, scalars = cyclotomic_field(payload["order"]), {}
+        matrices = [payload["automorphism"], *payload["flag"]["subspaces"]]
+        parsed.clear()
+        for m in matrices:
+            parse_matrix(m, "$", field, scalars)
+        strings = [c for m in matrices for row in m for x in row for c in (x if isinstance(x, list) else [x])]
+        assert sorted(parsed) == sorted(set(strings)), payload
 
 
 def test_scalars_are_parsed_per_request():

@@ -439,24 +439,96 @@ def test_rank_kernel_integers_grow_as_minors(monkeypatch):
     no product it forms exceeds 400 bits.  Dividing out integer
     contents alone leaves a pivot's factor in every row at each step,
     and the products reach 1000 bits at 10 x 10 over Q(zeta_7) and 2700
-    at 12 x 12 over Q(zeta_5)."""
+    at 12 x 12 over Q(zeta_5).  The products are read where they are
+    made: ``_times`` and the fused update ``_cross`` over Q(zeta_d), and
+    on rows over Q, ranked on plain ints, each updated row as its content
+    is taken."""
+    import parastrata.exact as ex
+
     longest = [0]
-    times = CyclotomicField._times
 
-    def measured(field, a, b):
-        out = times(field, a, b)
-        longest[0] = max(longest[0], *(abs(t).bit_length() for t in out))
-        return out
+    def measure(ints):
+        longest[0] = max(longest[0], *(abs(t).bit_length() for t in ints))
 
-    monkeypatch.setattr(CyclotomicField, "_times", measured)
-    for d, n in ((7, 10), (5, 12)):
+    def measured(f):
+        def wrapped(*args):
+            out = f(*args)
+            if out is not None:
+                measure(out)
+            return out
+        return wrapped
+
+    def measured_gcd(*args):
+        measure(args)
+        return gcd(*args)
+
+    monkeypatch.setattr(CyclotomicField, "_times", measured(CyclotomicField._times))
+    monkeypatch.setattr(CyclotomicField, "_cross", measured(CyclotomicField._cross))
+    monkeypatch.setattr(ex, "gcd", measured_gcd)
+    for d, n, rational in ((7, 10, False), (5, 12, False), (5, 12, True)):
         f = cyclotomic_field(d)
         rng = random.Random(d)
-        m = ExactMatrix.from_rows(f, [[f.element([rng.randint(-2, 2) for _ in range(f.degree)])
+        degree = 1 if rational else f.degree
+        m = ExactMatrix.from_rows(f, [[f.element([rng.randint(-2, 2) for _ in range(degree)])
                                        for _ in range(n)] for _ in range(n)])
+        assert (ex._rational_rows(ex.residue_rows(m)) is not None) == rational
         longest[0] = 0
         assert rank(m) == n
-        assert longest[0] <= 400
+        assert 0 < longest[0] <= 400
+
+
+# fields of degree 2 to 8
+_IRRATIONAL_ORDERS = tuple(d for d in RANK_ORDERS if cyclotomic_field(d).degree > 1)
+
+
+@settings(max_examples=100)
+@given(hs.sampled_from(_IRRATIONAL_ORDERS), hs.integers(1, 5), hs.integers(1, 5), hs.data())
+def test_rank_kernel_on_rational_rows_matches_rref(order, rows, cols, data):
+    """Rows over Q in a field of degree 2 to 8, of rank at most k, are
+    ranked on plain ints, and that rank is rref's; with one entry made
+    irrational the rows take the general elimination, again against
+    rref."""
+    import parastrata.exact as ex
+
+    field = cyclotomic_field(order)
+    k = data.draw(hs.integers(0, min(rows, cols)))
+    coeff = hs.one_of(hs.just(Fraction(0)), hs.fractions(min_value=-4, max_value=4, max_denominator=5))
+    a = [[data.draw(coeff) for _ in range(k)] for _ in range(rows)]
+    b = [[data.draw(coeff) for _ in range(cols)] for _ in range(k)]
+    entries = [[sum((a[i][t] * b[t][j] for t in range(k)), Fraction(0)) for j in range(cols)]
+               for i in range(rows)]
+    m = ExactMatrix.from_rows(field, entries)
+    assert ex._rational_rows(ex.residue_rows(m)) is not None
+    assert rank(m) == len(rref(m)[1])
+    i, j = data.draw(hs.integers(0, rows - 1)), data.draw(hs.integers(0, cols - 1))
+    power = data.draw(hs.integers(1, field.degree - 1))
+    entries[i][j] = entries[i][j] + data.draw(hs.integers(1, 3)) * field.zeta(power)
+    m = ExactMatrix.from_rows(field, entries)
+    assert ex._rational_rows(ex.residue_rows(m)) is None
+    assert rank(m) == len(rref(m)[1])
+
+
+def test_cross_is_one_fused_update():
+    """``_cross(a, u, x, v)`` is a * u - x * v as ``_times`` and
+    ``_minus`` make it, None standing for zero in u, v and the result."""
+    from parastrata.exact import _minus
+
+    rng = random.Random(53)
+    for d in RANK_ORDERS:
+        f = cyclotomic_field(d)
+        zero = [0] * f.degree
+
+        def residue(rational):
+            c = [rng.randint(-3, 3) for _ in range(1 if rational else f.degree)]
+            return tuple(c + [0] * (f.degree - len(c)))
+
+        for _ in range(40):
+            a, x = residue(rng.random() < 0.3), residue(rng.random() < 0.3)
+            u, v = (None if rng.random() < 0.25 else residue(rng.random() < 0.3) for _ in range(2))
+            au = None if u is None else f._times(a, u)
+            xv = zero if v is None else f._times(x, v)
+            assert f._cross(a, u, x, v) == _minus(au, xv), (d, a, u, x, v)
+        assert f._cross(residue(False), None, residue(False), None) is None
 
 
 def test_hessenberg_rank_matches_matrix_rank():
