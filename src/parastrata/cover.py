@@ -9,7 +9,7 @@ indices mod d).
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -69,33 +69,18 @@ def covering_genus(base_genus: int, degree: int) -> int:
 def pushforward_point(fiber_data: Sequence[PointWeights | None]) -> PointWeights:
     """Merge the weighted flags on one fiber into base-point data.
 
-    The merged weight set is the sorted union of the fiber weight sets;
-    the multiplicity of each merged weight is the total dimension drop
-    of the induced filtration, computed fiber by fiber (a fiber whose
-    weights are all below a merged weight contributes the zero
-    subspace).  Fibers marked None carry no data and are skipped.
+    The merged weight set is the sorted union of the fiber weight sets.
+    The multiplicity of each merged weight, the dimension drop of the
+    induced filtration there, is the sum of that weight's multiplicities
+    over the fibers.  Fibers marked None carry no data and are skipped.
     """
-    datas = [pw for pw in fiber_data if pw is not None]
-    if not datas:
+    merged: Counter = Counter()
+    for pw in fiber_data:
+        if pw is not None:
+            merged.update(dict(pw.entries))
+    if not merged:
         raise ValueError("no fiber point carries data")
-    betas = sorted({w for pw in datas for w in pw.weights})
-    profiles = [(pw.weights, pw.dimension_profile()) for pw in datas]
-
-    def step_dim(weights, profile, beta):
-        # dimension of the smallest flag step whose weight is >= beta
-        i = bisect_left(weights, beta)
-        return profile[i] if i < len(profile) else 0
-
-    merged = []
-    for j, beta in enumerate(betas):
-        nxt = betas[j + 1] if j + 1 < len(betas) else None
-        total = 0
-        for weights, profile in profiles:
-            hi = step_dim(weights, profile, beta)
-            lo = step_dim(weights, profile, nxt) if nxt is not None else 0
-            total += hi - lo
-        merged.append((beta, total))
-    return PointWeights.of([b for b, _ in merged], [m for _, m in merged])
+    return PointWeights(tuple(sorted(merged.items())))
 
 
 def _check_point_sets(c: CoverSpec, f: ParabolicDatum) -> None:
@@ -111,10 +96,8 @@ def pushforward(c: CoverSpec, f: ParabolicDatum) -> ParabolicDatum:
     exact invariant of the operation.
     """
     _check_point_sets(c, f)
-    pts = {
-        base: pushforward_point([f.weights_at(q) for q in fib])
-        for base, fib in c.fibers
-    }
+    data = f.point_map()
+    pts = {base: pushforward_point([data[q] for q in fib]) for base, fib in c.fibers}
     return ParabolicDatum.of(c.degree * f.rank, f.degree, pts)
 
 
@@ -122,7 +105,8 @@ def pullback(c: CoverSpec, e: ParabolicDatum) -> ParabolicDatum:
     """Copy base-point data to every fiber point; degree multiplies by d."""
     if set(e.point_ids) != set(c.base_points):
         raise ValueError("datum points must coincide with the base points of the cover")
-    pts = {q: e.weights_at(base) for base, fib in c.fibers for q in fib}
+    data = e.point_map()
+    pts = {q: data[base] for base, fib in c.fibers for q in fib}
     return ParabolicDatum.of(e.rank, c.degree * e.degree, pts)
 
 
@@ -135,8 +119,6 @@ def galois_twist(c: CoverSpec, f: ParabolicDatum, i: int) -> ParabolicDatum:
     """
     _check_point_sets(c, f)
     d = c.degree
-    pts: dict[str, PointWeights] = {}
-    for _, fib in c.fibers:
-        for j, q in enumerate(fib):
-            pts[q] = f.weights_at(fib[(j + i) % d])
+    data = f.point_map()
+    pts = {q: data[fib[(j + i) % d]] for _, fib in c.fibers for j, q in enumerate(fib)}
     return ParabolicDatum.of(f.rank, f.degree, pts)

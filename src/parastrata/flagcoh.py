@@ -141,62 +141,44 @@ def weyl_poincare(t: CartanType) -> PoincarePolynomial:
 
 # --- Dynkin diagrams -------------------------------------------------------
 #
-# Nodes are 1..n.  Edges carry a bond count (1, 2 or 3); node lengths
-# record relative squared root lengths, which the subdiagram classifier
-# needs to tell B from C pieces.
+# Nodes are 1..n.  Every connected Dynkin diagram is a path, the spine,
+# with at most one node off it, the branch, bonded to one spine node,
+# the joint (Bourbaki, Lie Groups and Lie Algebras, Ch. IV-VI, Plates
+# I-IX).  The short simple roots tell B from C pieces.
 
 
-def _diagram(fam: str, n: int) -> tuple[dict[frozenset[int], int], dict[int, int]]:
-    edges: dict[frozenset[int], int] = {}
-    lengths = {i: 2 for i in range(1, n + 1)}
-    if fam == "A":
-        for i in range(1, n):
-            edges[frozenset((i, i + 1))] = 1
-    elif fam == "B":
-        for i in range(1, n):
-            edges[frozenset((i, i + 1))] = 1
-        edges[frozenset((n - 1, n))] = 2
-        lengths[n] = 1
-    elif fam == "C":
-        for i in range(1, n):
-            edges[frozenset((i, i + 1))] = 1
-        edges[frozenset((n - 1, n))] = 2
-        for i in range(1, n):
-            lengths[i] = 1
-    elif fam == "D":
-        for i in range(1, n - 1):
-            edges[frozenset((i, i + 1))] = 1
-        edges[frozenset((n - 2, n))] = 1
-    elif fam == "E":
-        spine = [1, 3, 4, 5, 6, 7, 8][: n - 1]
-        for a, b in zip(spine, spine[1:]):
-            edges[frozenset((a, b))] = 1
-        edges[frozenset((2, 4))] = 1
-    elif fam == "F":
-        edges[frozenset((1, 2))] = 1
-        edges[frozenset((2, 3))] = 2
-        edges[frozenset((3, 4))] = 1
-        lengths[3] = 1
-        lengths[4] = 1
-    elif fam == "G":
-        edges[frozenset((1, 2))] = 3
-        lengths[1] = 1
-        lengths[2] = 3
-    else:
-        raise ValueError(f"unknown family {fam!r}")
-    return edges, lengths
+def _shape(fam: str, n: int) -> tuple[tuple[int, ...], int | None, int | None, dict[int, int], frozenset[int]]:
+    """(spine, branch, joint, bonds, short): the spine's nodes in order,
+    the node off the spine and the spine node it hangs from (both None
+    for a path), the multiple bond keyed by its lower node, and the
+    short simple roots."""
+    nodes = tuple(range(1, n + 1))
+    if fam == "D":
+        return nodes[:-1], n, n - 2, {}, frozenset()
+    if fam == "E":
+        return (1,) + nodes[2:], 2, 4, {}, frozenset()
+    if fam == "B":
+        return nodes, None, None, {n - 1: 2}, frozenset((n,))
+    if fam == "C":
+        return nodes, None, None, {n - 1: 2}, frozenset(nodes[:-1])
+    if fam == "F":
+        return nodes, None, None, {2: 2}, frozenset((3, 4))
+    if fam == "G":
+        return nodes, None, None, {1: 3}, frozenset((1,))
+    return nodes, None, None, {}, frozenset()
 
 
 def cartan_matrix(fam: str, n: int) -> tuple[tuple[int, ...], ...]:
-    """Cartan matrix C with C[i][j] = 2 (a_i, a_j) / (a_j, a_j)."""
-    edges, lengths = _diagram(fam, n)
-    mat = [[0] * n for _ in range(n)]
-    for i in range(1, n + 1):
-        mat[i - 1][i - 1] = 2
-    for edge, bonds in edges.items():
-        u, v = sorted(edge)
+    """Cartan matrix C with C[i][j] = 2 (a_i, a_j) / (a_j, a_j): -bond
+    where a long node a_i meets a short one a_j, -1 on every other edge."""
+    spine, branch, joint, bonds, short = _shape(fam, n)
+    edges = [(u, v, bonds.get(u, 1)) for u, v in zip(spine, spine[1:])]
+    if branch is not None:
+        edges.append((joint, branch, 1))
+    mat = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for u, v, bond in edges:
         for a, b in ((u, v), (v, u)):
-            mat[a - 1][b - 1] = -1 if lengths[a] <= lengths[b] else -bonds
+            mat[a - 1][b - 1] = -bond if b in short and a not in short else -1
     return tuple(tuple(row) for row in mat)
 
 
@@ -236,93 +218,39 @@ def weyl_bfs_order(t: CartanType) -> int:
     return order
 
 
-def _classify_piece(
-    nodes: list[int],
-    edges: dict[frozenset[int], int],
-    lengths: dict[int, int],
-) -> tuple[str, int]:
-    k = len(nodes)
-    if k == 1:
-        return ("A", 1)
-    node_set = set(nodes)
-    sub_edges = {e: b for e, b in edges.items() if e <= node_set}
-    bonds = set(sub_edges.values())
-    if 3 in bonds:
-        return ("G", 2)
-    if 2 in bonds:
-        lens = sorted({lengths[v] for v in nodes})
-        shorts = sum(1 for v in nodes if lengths[v] == lens[0])
-        longs = k - shorts
-        if k == 4 and shorts == 2:
-            return ("F", 4)
-        if shorts == 1:
-            return ("B", k)
-        if longs == 1:
-            return ("C", k)
-        raise ValueError("unrecognized multiply-laced subdiagram")
-    # simply laced: a path, a fork, or an E shape
-    deg = {v: 0 for v in nodes}
-    adj = {v: [] for v in nodes}
-    for e in sub_edges:
-        u, v = tuple(e)
-        deg[u] += 1
-        deg[v] += 1
-        adj[u].append(v)
-        adj[v].append(u)
-    branch = [v for v in nodes if deg[v] >= 3]
-    if not branch:
-        return ("A", k)
-    if len(branch) > 1 or deg[branch[0]] > 3:
-        raise ValueError("unrecognized simply-laced subdiagram")
-    b = branch[0]
-    arm_lengths = []
-    for start in adj[b]:
-        length = 1
-        prev, cur = b, start
-        while True:
-            nxts = [w for w in adj[cur] if w != prev]
-            if not nxts:
-                break
-            prev, cur = cur, nxts[0]
-            length += 1
-        arm_lengths.append(length)
-    arms = tuple(sorted(arm_lengths))
-    if arms[:2] == (1, 1):
-        return ("D", k)
-    if arms == (1, 2, 2):
-        return ("E", 6)
-    if arms == (1, 2, 3):
-        return ("E", 7)
-    if arms == (1, 2, 4):
-        return ("E", 8)
-    raise ValueError("unrecognized simply-laced subdiagram")
-
-
 def levi_components(t: CartanType, I: ParabolicSubset) -> CartanType:
     """Classify the Dynkin subdiagram spanned by the retained simple
-    roots into simple components."""
+    roots into simple components: the runs of retained nodes along the
+    spine, with the branch node joined to the run that holds its joint,
+    or else an A1 of its own."""
     _check_subset(t, I)
     pieces: list[tuple[str, int]] = []
     for (fam, n), sub in zip(t.components, I.per_component):
-        if not sub:
-            continue
-        edges, lengths = _diagram(fam, n)
+        spine, branch, joint, bonds, short = _shape(fam, n)
         keep = set(sub)
-        unvisited = set(sub)
-        while unvisited:
-            seed = min(unvisited)
-            comp = {seed}
-            frontier = [seed]
-            while frontier:
-                v = frontier.pop()
-                for e, _ in edges.items():
-                    if v in e:
-                        (w,) = e - {v}
-                        if w in keep and w not in comp:
-                            comp.add(w)
-                            frontier.append(w)
-            unvisited -= comp
-            pieces.append(_classify_piece(sorted(comp), edges, lengths))
+        runs: list[list[int]] = [[]]
+        for v in spine:
+            if v in keep:
+                runs[-1].append(v)
+            elif runs[-1]:
+                runs.append([])
+        forked = branch in keep and joint in keep
+        if branch in keep and not forked:
+            pieces.append(("A", 1))
+        for run in filter(None, runs):
+            hub = forked and joint in run
+            k = len(run) + hub
+            left = run.index(joint) if hub else 0
+            if 0 < left < k - 2:
+                # arms of 1, left and k - 2 - left nodes around the joint
+                pieces.append(("D" if min(left, k - 2 - left) == 1 else "E", k))
+            elif not any(u in run[:-1] for u in bonds):
+                pieces.append(("A", k))
+            elif fam == "G":
+                pieces.append(("G", 2))
+            else:
+                shorts = len(short.intersection(run))
+                pieces.append(("F" if k == 4 and shorts == 2 else "B" if shorts == 1 else "C", k))
     return CartanType.of(pieces)
 
 

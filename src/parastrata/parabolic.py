@@ -166,16 +166,8 @@ def genericity_witness(d: ParabolicDatum) -> GenericityWitness | None:
     slope = par_slope(d)
     ids = d.point_ids
     for sub_rank in range(1, d.rank):
-        per_point = []
-        feasible = True
-        for _, pw in d.points:
-            vecs = list(_sub_vectors(pw.multiplicities, sub_rank))
-            if not vecs:
-                feasible = False
-                break
-            per_point.append(vecs)
-        if not feasible:
-            continue
+        # never empty: a point's multiplicities sum to the rank > sub_rank
+        per_point = [list(_sub_vectors(pw.multiplicities, sub_rank)) for _, pw in d.points]
         for combo in itertools.product(*per_point):
             wsum = Fraction(0)
             for (_, pw), vec in zip(d.points, combo):

@@ -324,10 +324,11 @@ def point_survey(mults: Sequence[int], q: int, d: int) -> tuple[int, int]:
 
         best = (d q^2 - sum_k [d f_k^2 + r_k (2 f_k + 1)]) / 2.
 
-    `count` fills the table column by column.  A relabelling of the rows
-    keeps the count, so the state is the remaining columns with the
-    sorted tuple of remaining row sums, memoized (Diaconis and Gangolli,
-    "Rectangular arrays with fixed margins", 1995).
+    `count` fills the table column by column, `_table_count`.  A
+    relabelling of the rows keeps the count, so the state after a column
+    is the sorted tuple of remaining row sums, with the number of ways to
+    reach it (Diaconis and Gangolli, "Rectangular arrays with fixed
+    margins", 1995).
     """
     _, count, best, _ = _point_term(tuple(mults), q, d)
     return count, best
@@ -340,8 +341,7 @@ def _point_term(mults: tuple[int, ...], q: int, d: int) -> tuple[int, int, int, 
     best) of `point_survey` and its number of subset d-tuples.  The
     flag term is read from the same sums of squares as `best`, so a
     zero multiplicity, which `margin_tables` accepts, is accepted here
-    too.  The memo of the count's states lives for one key only, so the
-    cache holds four integers per key."""
+    too.  The cache holds four integers per key."""
     if sum(mults) != d * q:
         raise ValueError(f"multiplicities sum to {sum(mults)}, expected {d} * {q}")
     twice_flag = (d * q) ** 2
@@ -350,33 +350,34 @@ def _point_term(mults: tuple[int, ...], q: int, d: int) -> tuple[int, int, int, 
         f, rem = divmod(m, d)
         twice_flag -= m * m
         twice_best -= d * f * f + rem * (2 * f + 1)
-    count = _tables_left(mults, (q,) * d, {})
+    count = _table_count(mults, q, d)
     return twice_flag // 2, count, twice_best // 2, subset_count(len(mults), q) ** d
 
 
-def _tables_left(mults: tuple[int, ...], caps: tuple[int, ...], memo: dict) -> int:
-    """Tables with column sums `mults` and row sums `caps` (sorted), where
-    sum(mults) == sum(caps): the first column is taken out in every way
-    the row sums allow, and the last column is what the rows still need."""
-    if len(mults) == 1:
-        return 1
-    key = (len(mults), caps)
-    if key not in memo:
-        splits = _column_splits(mults[0], caps)
-        memo[key] = sum(_tables_left(mults[1:], tuple(sorted(left)), memo) for left in splits)
-    return memo[key]
-
-
-def _column_splits(m: int, caps: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """The row sums left after taking a column summing to m, entry j at
-    most caps[j], in every possible way."""
-    if len(caps) == 1:
-        if m <= caps[0]:
-            yield (caps[0] - m,)
-        return
-    for v in range(min(m, caps[0]) + 1):
-        for rest in _column_splits(m - v, caps[1:]):
-            yield (caps[0] - v, *rest)
+def _table_count(mults: tuple[int, ...], q: int, d: int) -> int:
+    """The number of d-row tables with row sums q and column sums
+    `mults`, where sum(mults) == d q.  Column by column, the state is the
+    sorted row remainders and the value the number of ways to reach it;
+    within a column, row by row, it is the sorted remainders of the rows
+    done with the units the column still owes.  Equal states merge, and
+    the last column takes what the rows still need."""
+    states = {(q,) * d: 1}
+    for m in mults[:-1]:
+        after: dict[tuple[int, ...], int] = {}
+        for caps, ways in states.items():
+            partial = {((), m): ways}
+            for cap in caps:
+                grown: dict[tuple[tuple[int, ...], int], int] = {}
+                for (done, owed), n in partial.items():
+                    for v in range(min(owed, cap) + 1):
+                        key = (tuple(sorted((*done, cap - v))), owed - v)
+                        grown[key] = grown.get(key, 0) + n
+                partial = grown
+            for (left, owed), n in partial.items():
+                if not owed:
+                    after[left] = after.get(left, 0) + n
+        states = after
+    return sum(states.values())
 
 
 @functools.lru_cache(maxsize=4096)

@@ -407,6 +407,23 @@ def test_sweep_lines_match_per_configuration_reports(payload):
     assert lines == len(expected) <= work <= MAX_SWEEP_WORK
 
 
+def test_table_counts_neither_recurse_nor_list_splits():
+    """A point of 500 weights, and a sweep over r = 22 whose covers
+    reach degree 22, each exit 0 quickly: the margin-table count takes
+    one step per column and merges equal row remainders, with no
+    recursion per weight and no list of every split of a column."""
+    many = {"g": 2, "r": 500, "d": 2, "points": [{"weights": [f"{k}/501" for k in range(1, 501)], "mults": [1] * 500}]}
+    code, out, err = run_json(["codim"], many)
+    assert (code, err) == (0, b""), err
+    assert json.loads(out)["result"]["num_systems"] == math.comb(500, 250)
+    payload = {"g": [2], "r": [22], "max_points": 1, "max_flag_length": 2}
+    start = time.perf_counter()
+    code, out, err = run_json(["codim", "--sweep"], payload)
+    assert time.perf_counter() - start < 2
+    assert (code, err) == (0, b""), err
+    assert out.count(b"\n") == _sweep_estimate(*_parse_sweep(payload), MAX_SWEEP_WORK)[1]
+
+
 def test_sweep_work_is_bounded():
     """A sweep whose work passes `MAX_SWEEP_WORK` exits 2 within a second,
     naming the field, with nothing on stdout: lines growing as 2**64, a

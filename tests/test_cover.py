@@ -155,17 +155,24 @@ def test_pushforward_pullback_roundtrip_randomized():
             assert merged.multiplicities == tuple(d * m for m in orig.multiplicities)
 
 
+def _step_dim(point, beta):
+    """Dimension of the smallest flag step of `point` whose weight is >= beta."""
+    return next((dim for w, dim in zip(point.weights, point.dimension_profile()) if w >= beta), 0)
+
+
 def test_pushforward_point_matches_weight_merge_oracle():
-    # independent oracle: merge weights as a multiset and add multiplicities
+    # independent oracle: walk the induced filtrations, reading each merged
+    # weight's multiplicity as the dimension drop to the next merged weight
     rng = random.Random(43)
     for _ in range(200):
         d = rng.choice([1, 2, 3, 4])
         cov = random_cover(rng, d, 1)
         f = random_total_datum(rng, cov, rng.randint(1, 4))
         merged = pushforward(cov, f).weights_at(cov.base_points[0])
-        tally = {}
-        for q in cov.fiber_points:
-            for w, m in f.weights_at(q).entries:
-                tally[w] = tally.get(w, 0) + m
-        expected = PointWeights.of(sorted(tally), [tally[w] for w in sorted(tally)])
-        assert merged == expected
+        datas = [f.weights_at(q) for q in cov.fiber_points]
+        betas = sorted({w for point in datas for w in point.weights})
+        drops = [
+            sum(_step_dim(point, lo) - _step_dim(point, hi) for point in datas)
+            for lo, hi in zip(betas, betas[1:] + [Fraction(1)])
+        ]
+        assert merged == PointWeights.of(betas, drops)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -14,6 +15,7 @@ from parastrata import (
     weyl_bfs_order,
     weyl_poincare,
 )
+from parastrata.flagcoh import cartan_matrix
 
 from test_exact import poly_divide_exact, poly_mul
 
@@ -182,6 +184,30 @@ def test_levi_index_bounds():
         levi_components(ct(("A", 3)), ps([4]))
     with pytest.raises(ValueError):
         levi_components(ct(("A", 3)), ParabolicSubset.of([[1], [2]]))
+
+
+# every irreducible type up to rank 12, in this order
+DIGEST_TYPES = (
+    [("A", n) for n in range(1, 13)]
+    + [("B", n) for n in range(2, 13)]
+    + [("C", n) for n in range(2, 13)]
+    + [("D", n) for n in range(4, 13)]
+    + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+)
+
+
+def test_levi_and_cartan_digest():
+    """Each type's Cartan matrix and the Levi type of every subset of its
+    simple roots, 33,210 subsets in all, hash to the digest of the
+    general subgraph classifier that the shape table replaced."""
+    digest = hashlib.sha256()
+    for fam, n in DIGEST_TYPES:
+        digest.update(repr(cartan_matrix(fam, n)).encode())
+        t = ct((fam, n))
+        for k in range(n + 1):
+            for sub in itertools.combinations(range(1, n + 1), k):
+                digest.update(repr((fam, n, sub, levi_components(t, ps(sub)))).encode())
+    assert digest.hexdigest() == "97f819e0f012a9a9ca18c4863d4a614054f0e9c656ce5d5328fdf058a6fd9106"
 
 
 # --- flag variety Poincare polynomials --------------------------------------------

@@ -1,12 +1,16 @@
 """Source hygiene of the library: no runtime dependencies beyond the
 standard library, and no floating point.  The benchmark's seed-0
-outputs are also reproduced here, byte for byte."""
+outputs are also reproduced here, byte for byte, and README's Python
+tour is run against the results it documents."""
 
 import ast
+import contextlib
 import hashlib
+import io
 import json
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -79,3 +83,38 @@ def test_readme_layout_names_every_export():
     readme = (ROOT / "README.md").read_text().splitlines()
     table = "\n".join(line for line in readme if line.startswith("| `parastrata."))
     assert exported and sorted(name for name in exported if f"`{name}`" not in table) == []
+
+
+def test_readme_tour_results_hold():
+    """README's Python tour runs, and every result it documents holds.
+    An expression's result is the comment on its line, or else the
+    comment lines right below it; it reads as the value's repr, and may
+    go on after a colon.  A statement that prints writes exactly the
+    comment lines right below it."""
+    readme = (ROOT / "README.md").read_text()
+    source = readme.split("A quick tour:\n\n```python\n", 1)[1].split("```", 1)[0]
+    lines = source.splitlines()
+    tokens = tokenize.generate_tokens(io.StringIO(source).readline)
+    comments = {tok.start[0]: tok.string[1:].strip() for tok in tokens if tok.type == tokenize.COMMENT}
+    namespace: dict = {}
+    checked = 0
+    for node in ast.parse(source).body:
+        below = []
+        for lineno in range(node.end_lineno + 1, len(lines) + 1):
+            if not lines[lineno - 1].startswith("#"):
+                break
+            below.append(comments[lineno])
+        printed = io.StringIO()
+        with contextlib.redirect_stdout(printed):
+            if isinstance(node, ast.Expr):
+                value = repr(eval(compile(ast.Expression(node.value), "README.md", "eval"), namespace))
+            else:
+                exec(compile(ast.Module([node], []), "README.md", "exec"), namespace)
+        if isinstance(node, ast.Expr):
+            documented = comments.get(node.end_lineno) or "\n".join(below)
+            assert documented == value or documented.startswith(f"{value}:"), (documented, value)
+            checked += 1
+        elif below or printed.getvalue():
+            assert printed.getvalue().splitlines() == below
+            checked += 1
+    assert checked == 6

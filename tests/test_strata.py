@@ -1,5 +1,7 @@
 import itertools
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -445,6 +447,10 @@ def test_point_survey_matches_margin_tables():
 def test_point_survey_counts_beyond_enumeration():
     assert point_survey((10, 10, 10, 10), 10, 4)[0] == 5045326
     assert point_survey((2,) * 12, 4, 6)[0] == 3536978063850
+    # thirty rows of one unit each: a column's splits merge row by row
+    start = time.perf_counter()
+    assert point_survey((15, 15), 1, 30)[0] == math.comb(30, 15)
+    assert time.perf_counter() - start < 1
 
 
 def test_point_survey_accepts_zero_columns():
