@@ -15,7 +15,6 @@ from .exact import (
     Cyclotomic,
     CyclotomicField,
     ExactMatrix,
-    IntPolynomial,
     charpoly,
     cyclotomic_field,
     cyclotomic_polynomial,
@@ -59,7 +58,6 @@ from .strata import (
     CodimReport,
     ModuliSpec,
     MultiplicityMatrix,
-    StratumIndex,
     codim_report,
     enumerate_matrices,
     enumerate_strata,

@@ -410,15 +410,6 @@ def _parse_range(doc, path: str) -> list[int] | range:
     return range(lo, hi + 1)
 
 
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def _auto_weights(length: int) -> list[Fraction]:
     return [Fraction(k, length + 1) for k in range(1, length + 1)]
 
@@ -427,10 +418,12 @@ def _sweep_systems(rank: int, max_points: int, max_len: int):
     """Every generated system of at most `max_points` points, the empty
     one first, each with the encoded echo of its point list.  A
     generated point is echoed and encoded once per rank, so a system's
-    echo is a join of encoded points."""
+    echo is a join of encoded points.  A point's multiplicities are a
+    composition of the rank, cut at length - 1 of the places 1..rank-1."""
     per_point = []
     for length in range(1, min(max_len, rank) + 1):
-        for comp in _compositions(rank, length):
+        for cuts in itertools.combinations(range(1, rank), length - 1):
+            comp = [b - a for a, b in zip((0, *cuts), (*cuts, rank))]
             pw = pb.PointWeights.of(_auto_weights(length), comp)
             per_point.append((pw, _compact_json(echo_point(pw))))
     for npts in range(max_points + 1):

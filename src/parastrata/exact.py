@@ -3,8 +3,8 @@
 Three scalar domains, all immutable and arbitrary precision:
 
 * plain rationals -- ``fractions.Fraction`` from the standard library;
-* ``IntPolynomial`` -- the coefficients of an integer polynomial in one
-  variable; every product and quotient of them is ``q_ratio``'s, a ratio
+* integer polynomials -- tuples of int coefficients, constant term
+  first; every product and quotient of them is ``q_ratio``'s, a ratio
   of q-integers [k]_q = 1 + q + ... + q**(k-1);
 * ``Cyclotomic`` -- elements of the field Q(zeta_d), stored as residues
   modulo the d-th cyclotomic polynomial in the power basis
@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import functools
 import numbers
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, lcm
@@ -58,56 +57,8 @@ def to_fraction(x) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Integer polynomials
+# Integer polynomials: coefficient tuples, constant term first
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class IntPolynomial:
-    """Polynomial with integer coefficients; ``coeffs[i]`` multiplies x**i.
-
-    Normalized: the highest-index coefficient is nonzero, and the zero
-    polynomial is the empty tuple.
-    """
-
-    coeffs: tuple[int, ...] = ()
-
-    def __post_init__(self) -> None:
-        for c in self.coeffs:
-            if not isinstance(c, int):
-                raise TypeError(f"integer coefficient expected, got {c!r}")
-        if self.coeffs and self.coeffs[-1] == 0:
-            raise ValueError("coefficients not normalized (trailing zero)")
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def coefficient(self, k: int) -> int:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
-
-    def __call__(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            else:
-                head = "" if c == 1 else "-" if c == -1 else f"{c}*"
-                terms.append(f"{head}x^{i}" if i > 1 else f"{head}x")
-        return " + ".join(terms)
 
 
 def divisors(n: int) -> list[int]:
@@ -157,22 +108,23 @@ def q_ratio(num, den) -> tuple[int, ...]:
 
 
 @functools.lru_cache(maxsize=None)
-def cyclotomic_polynomial(d: int) -> IntPolynomial:
-    """The d-th cyclotomic polynomial, monic and irreducible over the
-    rationals: prod_(e | d) (x**e - 1)**mu(d/e).  For d > 1 the exponents
-    sum to 0, so the factors x - 1 cancel and it is the ratio of the
-    q-integers [e]_x with mu(d/e) = 1 over those with mu(d/e) = -1.
+def cyclotomic_polynomial(d: int) -> tuple[int, ...]:
+    """The coefficients of the d-th cyclotomic polynomial, monic and
+    irreducible over the rationals: prod_(e | d) (x**e - 1)**mu(d/e).
+    For d > 1 the exponents sum to 0, so the factors x - 1 cancel and it
+    is the ratio of the q-integers [e]_x with mu(d/e) = 1 over those
+    with mu(d/e) = -1.
     """
     if d < 1:
         raise ValueError("positive order expected")
     if d == 1:
-        return IntPolynomial((-1, 1))
+        return (-1, 1)
     divs = divisors(d)
     mu: dict[int, int] = {}
     for m in divs:  # mu(m) = -sum of mu over the proper divisors of m
         mu[m] = 1 if m == 1 else -sum(mu[k] for k in divs if k < m and m % k == 0)
     by_sign = {s: [e for e in divs if mu[d // e] == s] for s in (1, -1)}
-    return IntPolynomial(q_ratio(by_sign[1], by_sign[-1]))
+    return q_ratio(by_sign[1], by_sign[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +297,8 @@ class CyclotomicField:
 
     Every power of zeta is computed when asked for: x**(e mod d)
     reduced by the cyclotomic polynomial, which divides x**d - 1.
-    ``units`` lists (Z/d)^*, starting at 1.
+    ``modulus`` is that polynomial's coefficient tuple, constant term
+    first; ``units`` lists (Z/d)^*, starting at 1.
     """
 
     __slots__ = ("order", "modulus", "degree", "units", "_tail", "_pad", "zero", "one")
@@ -355,9 +308,9 @@ class CyclotomicField:
             raise ValueError("positive order expected")
         self.order = order
         self.modulus = cyclotomic_polynomial(order)
-        k = self.degree = self.modulus.degree
+        k = self.degree = len(self.modulus) - 1
         # x**k = -sum_j tail_j x**j modulo the (monic) modulus
-        self._tail = tuple((j, m) for j, m in enumerate(self.modulus.coeffs[:k]) if m)
+        self._tail = tuple((j, m) for j, m in enumerate(self.modulus[:k]) if m)
         self._pad = (0,) * (k - 1)
         self.units = tuple(j for j in range(1, order + 1) if gcd(j, order) == 1)
         self.zero = Cyclotomic(self, (0,) * k)

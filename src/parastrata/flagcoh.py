@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
-from .exact import IntPolynomial, q_ratio
+from .exact import q_ratio
 
 _RANK_RULES = {
     "A": lambda n: n >= 1,
@@ -101,29 +101,29 @@ def _check_subset(t: CartanType, I: ParabolicSubset) -> None:
 
 @dataclass(frozen=True)
 class PoincarePolynomial:
-    """Generating function of even Betti numbers: coefficient of q**k is
-    the Betti number in degree 2k."""
+    """Generating function of even Betti numbers: ``coeffs[k]``, the
+    coefficient of q**k, is the Betti number in degree 2k."""
 
-    poly: IntPolynomial
+    coeffs: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.poly.is_zero() or self.poly.coeffs[0] != 1:
+        if not self.coeffs or self.coeffs[0] != 1:
             raise ValueError("constant term must be one (connected space)")
-        if any(c < 0 for c in self.poly.coeffs):
+        if any(c < 0 for c in self.coeffs):
             raise ValueError("Betti numbers must be non-negative")
 
     def betti(self, k: int) -> int:
-        return self.poly.coefficient(k)
+        return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
 
     def total(self) -> int:
         """Euler number of the even-cohomology model, i.e. value at q=1."""
-        return self.poly(1)
+        return sum(self.coeffs)
 
     def is_palindromic(self) -> bool:
-        return self.poly.coeffs == tuple(reversed(self.poly.coeffs))
+        return self.coeffs == self.coeffs[::-1]
 
     def coefficients(self) -> tuple[int, ...]:
-        return self.poly.coeffs
+        return self.coeffs
 
 
 def fundamental_degrees(t: CartanType) -> tuple[int, ...]:
@@ -136,7 +136,7 @@ def fundamental_degrees(t: CartanType) -> tuple[int, ...]:
 def weyl_poincare(t: CartanType) -> PoincarePolynomial:
     """Length generating function of the Weyl group: the product of the
     q-integers [d]_q = (q**d - 1)/(q - 1) over the fundamental degrees."""
-    return PoincarePolynomial(IntPolynomial(q_ratio(fundamental_degrees(t), ())))
+    return PoincarePolynomial(q_ratio(fundamental_degrees(t), ()))
 
 
 # --- Dynkin diagrams -------------------------------------------------------
@@ -260,7 +260,7 @@ def _flag_ratio(t: CartanType, levis: Sequence[CartanType]) -> PoincarePolynomia
     with the degrees they share cancelled first."""
     num = Counter(fundamental_degrees(t) * len(levis))
     den = Counter(deg for levi in levis for deg in fundamental_degrees(levi))
-    return PoincarePolynomial(IntPolynomial(q_ratio((num - den).elements(), (den - num).elements())))
+    return PoincarePolynomial(q_ratio((num - den).elements(), (den - num).elements()))
 
 
 def flag_poincare(t: CartanType, I: ParabolicSubset) -> PoincarePolynomial:

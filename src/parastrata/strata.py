@@ -45,13 +45,6 @@ class ModuliSpec(ParabolicDatum):
 
 
 @dataclass(frozen=True)
-class StratumIndex:
-    """Per point, a d-tuple of weight subsets (0-based index tuples)."""
-
-    entries: tuple[tuple[str, tuple[tuple[int, ...], ...]], ...]
-
-
-@dataclass(frozen=True)
 class MultiplicityMatrix:
     """Rectangular block of non-negative integers, rows indexed by fiber
     position and columns by weight position."""
@@ -112,8 +105,11 @@ def subset_count(length: int, max_size: int) -> int:
     return sum(comb(length, k) for k in range(1, min(length, max_size) + 1))
 
 
-def enumerate_stratum_indices(spec: ModuliSpec, d: int) -> Iterator[StratumIndex]:
-    """All stratum indices, lazily, in lexicographic order.
+def enumerate_stratum_indices(spec: ModuliSpec, d: int) -> Iterator[tuple]:
+    """All stratum indices, lazily, in lexicographic order.  An index is
+    a tuple with one ``(point id, subset d-tuple)`` pair per point, in
+    the spec's point order; a subset is a sorted tuple of 0-based weight
+    positions.
 
     Per point there are |P|**d tuples where P collects the nonempty
     weight subsets of size at most r/d; across points the tuples are
@@ -124,8 +120,7 @@ def enumerate_stratum_indices(spec: ModuliSpec, d: int) -> Iterator[StratumIndex
     for pid, pw in spec.points:
         subs = weight_subsets(pw, q)
         per_point.append([(pid, t) for t in itertools.product(subs, repeat=d)])
-    for combo in itertools.product(*per_point):
-        yield StratumIndex(tuple(combo))
+    yield from itertools.product(*per_point)
 
 
 def margin_tables(mults: Sequence[int], q: int, d: int) -> Iterator[MultiplicityMatrix]:
@@ -282,12 +277,12 @@ def stratum_dimension(
 
 def enumerate_strata(
     spec: ModuliSpec, d: int
-) -> Iterator[tuple[StratumIndex, dict[str, MultiplicityMatrix]]]:
+) -> Iterator[tuple[tuple, dict[str, MultiplicityMatrix]]]:
     """All (index, matrix system) pairs, lazily; indices whose matrix
     collection is empty at some point are skipped."""
     systems = [dict(point_systems(pw, spec.rank, d)) for _, pw in spec.points]
     for t in enumerate_stratum_indices(spec, d):
-        per_point = [by_tuple[subs] for by_tuple, (_, subs) in zip(systems, t.entries)]
+        per_point = [by_tuple[subs] for by_tuple, (_, subs) in zip(systems, t)]
         for combo in itertools.product(*per_point):
             yield t, dict(zip(spec.point_ids, combo))
 

@@ -227,9 +227,7 @@ def test_projective_line():
 def test_full_flag_a3():
     fp = flag_poincare(ct(("A", 3)), ps([]))
     assert fp.total() == 24
-    assert fp.coefficients() == tuple(
-        (weyl_poincare(ct(("A", 3))).poly).coeffs
-    )
+    assert fp.coefficients() == weyl_poincare(ct(("A", 3))).coefficients()
 
 
 def test_point_when_parabolic_is_everything():

@@ -60,6 +60,20 @@ def test_benchmark_tracer_installs():
 
 
 @pytest.mark.parametrize("workload", ["sweep", "descend", "requests"])
+def test_benchmark_traced_round_runs(workload):
+    """A traced round of each workload runs through the tracer's wrappers
+    and checks out, so a change that breaks a wrapper (one that reads a
+    library value's fields, say) fails here.  No spans are written."""
+    argv = [sys.executable, "perfbench/worker.py", "--mode", "trace", "--workload", workload,
+            "--seed", "0", "--seconds", "0.01"]
+    proc = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["failures"] == [] and result["exit_nonzero"] == 0
+    assert "cli.run_command" in result["stats"]
+
+
+@pytest.mark.parametrize("workload", ["sweep", "descend", "requests"])
 def test_benchmark_round_zero_matches_golden_digest(workload, monkeypatch):
     """The CLI's output bytes are its contract: the first timed round of
     seed 0 must hash to the digest the benchmark checks against."""

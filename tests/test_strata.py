@@ -15,6 +15,7 @@ from parastrata import (
     ParabolicDatum,
     PointWeights,
     codim_report,
+    covering_genus,
     enumerate_matrices,
     enumerate_strata,
     enumerate_stratum_indices,
@@ -26,6 +27,7 @@ from parastrata import (
     point_survey,
     point_systems,
     pushforward,
+    pushforward_point,
     stratum_dimension,
     subset_count,
     weight_subsets,
@@ -513,3 +515,41 @@ def test_codim_is_bound_plus_slack_beyond_the_grid(config):
     assert rep.meets_bound
     single = all(pw.length == 1 for _, pw in spec.points)
     assert rep.codim_at_least_three == ((spec.genus, spec.rank, d) != (2, 2, 2) or not single)
+
+
+@hs.composite
+def cover_configurations(draw):
+    d = draw(hs.integers(2, 3))
+    r = d * draw(hs.integers(1, 3))
+    points = {}
+    for i in range(draw(hs.integers(0, 2))):
+        length = draw(hs.integers(1, min(3, r)))
+        nums = sorted(draw(hs.sets(hs.integers(1, 11), min_size=length, max_size=length)))
+        cuts = sorted(draw(hs.sets(hs.integers(1, r - 1), min_size=length - 1, max_size=length - 1)))
+        mults = [b - a for a, b in zip((0, *cuts), (*cuts, r))]
+        points[f"p{i + 1}"] = PointWeights.of([Fraction(k, 12) for k in nums], mults)
+    return ModuliSpec.of(draw(hs.integers(2, 5)), r, points), d
+
+
+@settings(max_examples=150)
+@given(cover_configurations())
+def test_strata_are_bundles_pushed_forward_from_the_cover(config):
+    """A stratum is the bundles fixed by tensoring with a line bundle of
+    order d: push-forwards of rank r/d bundles on the degree-d etale cover
+    Y of genus covering_genus(g, d) (Narasimhan-Ramanan).  A point's
+    matrix rows are the flags at its d fiber points, so the stratum's
+    dimension is the moduli dimension upstairs plus g_Y - g, the fibers
+    of the norm map; the rows push forward to the point's own data."""
+    spec, d = config
+    g_y = covering_genus(spec.genus, d)
+    dims = []
+    for _, mats in enumerate_strata(spec, d):
+        upstairs = {}
+        for pid, pw in spec.points:
+            rows = matrix_to_multiplicity_system(mats[pid], pw)
+            assert pushforward_point(rows) == pw
+            upstairs.update((f"{pid}.{j}", row) for j, row in enumerate(rows))
+        dim = stratum_dimension(spec, d, mats)
+        assert dim == moduli_dimension(ModuliSpec.of(g_y, spec.rank // d, upstairs)) + g_y - spec.genus
+        dims.append(dim)
+    assert max(dims) == codim_report(spec, d).max_stratum_dim

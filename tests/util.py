@@ -209,7 +209,7 @@ def ref_reduce(field, coeffs):
     """The coefficients of a polynomial modulo the field's modulus, by
     long division, padded to the field degree.  The modulus is monic, so
     Fraction coefficients give Fractions and integer ones integers."""
-    rem = _poly_divmod(list(coeffs), list(field.modulus.coeffs))[1]
+    rem = _poly_divmod(list(coeffs), list(field.modulus))[1]
     return tuple(rem + [Fraction(0)] * (field.degree - len(rem)))
 
 
@@ -220,7 +220,7 @@ def ref_mul(field, a, b):
 def ref_inverse(field, a):
     """Inverse of a nonzero residue by the extended Euclidean algorithm:
     s*a = g modulo the modulus, with g a nonzero constant."""
-    r0, r1 = _trim(list(a)), [Fraction(c) for c in field.modulus.coeffs]
+    r0, r1 = _trim(list(a)), [Fraction(c) for c in field.modulus]
     s0, s1 = [Fraction(1)], []
     while r1:
         q, r = _poly_divmod(r0, r1)
