@@ -47,7 +47,6 @@ from .eigenflag import (
     DescentResult,
     EigenVector,
     FlagAutomorphism,
-    NestedEigenbasis,
     WeightedFlag,
     check_parabolic_morphism,
     descend,
@@ -57,7 +56,6 @@ from .eigenflag import (
 from .strata import (
     CodimReport,
     ModuliSpec,
-    MultiplicityMatrix,
     codim_report,
     enumerate_matrices,
     enumerate_strata,

@@ -318,7 +318,7 @@ def _indices_text(labels: list[str], d: int, systems) -> tuple[_Encoded, int, in
     for t, mats in systems:
         if mats:
             num_matrices += len(mats)
-            mat_texts = [matrix % (*itertools.chain(*m.entries), st.matrix_flag_term(m)) for m in mats]
+            mat_texts = [matrix % (*itertools.chain(*m), st.matrix_flag_term(m)) for m in mats]
             listed = "[" + _I14 + sep.join(mat_texts) + _I12 + "]"
         else:
             listed = "[]"
@@ -618,7 +618,7 @@ def cmd_descend(payload, convention: str) -> tuple[dict, dict]:
         fibers.append({"fiber": j, "eigenvalue_exponent": j % order, "dim": dim, **point})
     result = {
         "fibers": fibers,
-        "matrix": [list(row) for row in res.matrix.entries],
+        "matrix": [list(row) for row in res.matrix],
         "fixed_point_shape": ef.fixed_point_shape(res, flag.ambient_dim, order),
         # descend accepted the flag, so the invertible phi maps each V_k
         # onto itself: a strict trigger (i > j) asks phi(V_i) in V_{j+1},
@@ -887,12 +887,14 @@ def run_command(argv, stdin: bytes = b"") -> tuple[int, bytes, bytes]:
 
 
 def main() -> None:
-    stdin = b""
     argv = sys.argv[1:]
-    sub = argv[0] if argv else ""
-    needs_stdin = sub in SUBCOMMANDS and "--input" not in argv
-    if needs_stdin:
-        stdin = sys.stdin.buffer.read()
+    # help and a usage error read nothing; run_command answers both
+    try:
+        sub, opts = _parse_argv(argv)
+        reads_stdin = sub != "help" and opts["input"] is None
+    except UsageError:
+        reads_stdin = False
+    stdin = sys.stdin.buffer.read() if reads_stdin else b""
     code, out, err = run_command(argv, stdin)
     if out:
         sys.stdout.buffer.write(out)

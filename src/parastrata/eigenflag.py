@@ -28,7 +28,6 @@ from .exact import (
     to_fraction,
 )
 from .parabolic import PointWeights
-from .strata import MultiplicityMatrix
 
 Vector = tuple
 
@@ -79,12 +78,12 @@ class WeightedFlag:
     The first subspace must be the whole ambient space; each subspace
     is given by a full-row-rank basis matrix over Q(zeta_d) and is
     checked to contain the next one.  Both checks are ranks taken by
-    the fraction-free kernel on the basis rows cleared of denominators,
-    which the flag keeps for ``descend``.  The first containment needs
-    no rank: n independent rows of length n span the whole space.
+    the fraction-free kernel on the basis rows cleared of denominators.
+    The first containment needs no rank: n independent rows of length n
+    span the whole space.
     """
 
-    __slots__ = ("field_order", "subspaces", "weights", "field", "dims", "_residues")
+    __slots__ = ("field_order", "subspaces", "weights", "field", "dims")
 
     def __init__(self, field_order: int, subspaces: Sequence[ExactMatrix], weights: Sequence[Fraction]):
         field = cyclotomic_field(field_order)
@@ -102,16 +101,13 @@ class WeightedFlag:
                 raise ValueError("weights must be strictly increasing")
             prev_w = w
         n = subspaces[0].cols
-        residues = []
         for sub in subspaces:
             if sub.field != field:
                 raise ValueError("subspace bases must live over the flag's cyclotomic field")
             if sub.cols != n:
                 raise ValueError("subspace bases must share the ambient dimension")
-            rows = residue_rows(sub)
-            if residue_rank(field, rows) != sub.rows:
+            if residue_rank(field, residue_rows(sub)) != sub.rows:
                 raise ValueError("subspace basis rows are not independent")
-            residues.append(rows)
         dims = [sub.rows for sub in subspaces]
         if dims[0] != n:
             raise ValueError("the first subspace must be the full ambient space")
@@ -120,7 +116,7 @@ class WeightedFlag:
                 raise ValueError("subspace dimensions must strictly decrease")
             # V_0 is the whole space; V_i's rows are independent, so
             # V_{i+1} adds no rank exactly when V_i contains it
-            if i and residue_rank(field, residues[i] + residues[i + 1]) != dims[i]:
+            if i and residue_rank(field, residue_rows(subspaces[i]) + residue_rows(subspaces[i + 1])) != dims[i]:
                 raise ValueError("each subspace must contain the next one")
         if dims[-1] < 1:
             raise ValueError("the last subspace must be nonzero")
@@ -129,7 +125,6 @@ class WeightedFlag:
         self.subspaces = subspaces
         self.weights = weights
         self.dims = tuple(dims)
-        self._residues = tuple(residues)
 
     @staticmethod
     def of(field_order: int, subspaces: Sequence[Sequence[Sequence]], weights) -> "WeightedFlag":
@@ -210,14 +205,6 @@ class EigenVector(NamedTuple):
     eigenvalue: Cyclotomic
 
 
-@dataclass(frozen=True)
-class NestedEigenbasis:
-    """Bases B_1 >= B_2 >= ... of the flag subspaces, every vector an
-    exact eigenvector tagged with its root-of-unity eigenvalue."""
-
-    levels: tuple[tuple[EigenVector, ...], ...]
-
-
 def _check_pair(phi: FlagAutomorphism, flag: WeightedFlag) -> None:
     if flag.field_order != phi.order:
         raise ValueError("flag and automorphism must share the same field order")
@@ -225,8 +212,10 @@ def _check_pair(phi: FlagAutomorphism, flag: WeightedFlag) -> None:
         raise ValueError("automorphism dimension does not match the flag")
 
 
-def nested_eigenbasis(phi: FlagAutomorphism, flag: WeightedFlag) -> NestedEigenbasis:
-    """Eigenvector bases of every flag subspace, nested bottom-up.
+def nested_eigenbasis(phi: FlagAutomorphism, flag: WeightedFlag) -> tuple[tuple[EigenVector, ...], ...]:
+    """Eigenvector bases B_0 >= B_1 >= ... of the flag subspaces, nested
+    bottom-up: one tuple per level, each vector an exact eigenvector
+    tagged with its root-of-unity eigenvalue.
 
     The deepest subspace is eigen-decomposed first; within each
     eigenvalue the basis of the intersection with the next subspace is
@@ -256,7 +245,7 @@ def nested_eigenbasis(phi: FlagAutomorphism, flag: WeightedFlag) -> NestedEigenb
             levels[level].extend(EigenVector(v, exp, zeta) for v in chain)
     if any(len(levels[i]) != flag.dims[i] for i in range(ell)):
         raise ValueError("automorphism does not preserve the flag")
-    return NestedEigenbasis(tuple(tuple(lv) for lv in levels))
+    return tuple(tuple(lv) for lv in levels)
 
 
 @dataclass(frozen=True)
@@ -266,12 +255,13 @@ class DescentResult:
     Fiber j (1-based, j in [1, d]) collects the eigenvectors with
     eigenvalue zeta_d**j; its weighted multiplicities are the dimension
     drops of the induced chain, zero drops discarded.  An eigenvalue
-    that does not occur yields an empty fiber (None).
+    that does not occur yields an empty fiber (None).  ``matrix`` is the
+    tuple of the d rows of drops, zeros kept, fiber j's in row j - 1.
     """
 
     fiber_weights: tuple[PointWeights | None, ...]
     eigen_dims: tuple[int, ...]
-    matrix: MultiplicityMatrix
+    matrix: tuple[tuple[int, ...], ...]
 
 
 def descend(phi: FlagAutomorphism, flag: WeightedFlag, d: int) -> DescentResult:
@@ -297,7 +287,7 @@ def descend(phi: FlagAutomorphism, flag: WeightedFlag, d: int) -> DescentResult:
     # counts[e][k] = dim(V_k cap E_e); V_0 is the whole space
     counts = {e: [k] for e, k in enumerate(phi.nullities) if k}
     for level in range(1, ell):
-        nullity = phi_map.restricted(flag._residues[level])
+        nullity = phi_map.restricted(residue_rows(flag.subspaces[level]))
         left = flag.dims[level]
         for e, c in counts.items():
             if not (left and c[-1]):
@@ -320,7 +310,7 @@ def descend(phi: FlagAutomorphism, flag: WeightedFlag, d: int) -> DescentResult:
         dims.append(c[0])
         kept = [(flag.weights[k], row[k]) for k in range(ell) if row[k]]
         fibers.append(PointWeights(tuple(kept)) if kept else None)
-    return DescentResult(tuple(fibers), tuple(dims), MultiplicityMatrix(tuple(rows)))
+    return DescentResult(tuple(fibers), tuple(dims), tuple(rows))
 
 
 def fixed_point_shape(res: DescentResult, r: int, d: int) -> bool:

@@ -5,7 +5,9 @@ A stratum over a degree-d cover is indexed, at each marked point, by a
 d-tuple of nonempty weight subsets of size at most r/d, together with a
 d x l matrix of non-negative integers whose support matches the subsets
 (condition a), whose rows each sum to r/d, and whose k-th column sums
-to the k-th multiplicity (condition b).
+to the k-th multiplicity (condition b).  A matrix is the tuple of its
+rows, one tuple of ints per fiber position: `margin_tables` builds them
+valid, and `stratum_dimension` checks one that comes from outside.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ from math import comb
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .parabolic import ParabolicDatum, PointWeights
+
+Table = tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -42,42 +46,6 @@ class ModuliSpec(ParabolicDatum):
     def delta(self) -> int:
         """The determinant degree modulo the rank."""
         return self.degree % self.rank
-
-
-@dataclass(frozen=True)
-class MultiplicityMatrix:
-    """Rectangular block of non-negative integers, rows indexed by fiber
-    position and columns by weight position."""
-
-    entries: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        if not self.entries:
-            raise ValueError("matrix needs at least one row")
-        width = len(self.entries[0])
-        for row in self.entries:
-            if len(row) != width:
-                raise ValueError("ragged matrix")
-            for v in row:
-                if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-                    raise ValueError(f"non-negative integer entry expected, got {v!r}")
-
-    @property
-    def rows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def cols(self) -> int:
-        return len(self.entries[0])
-
-    def row_sums(self) -> tuple[int, ...]:
-        return tuple(sum(r) for r in self.entries)
-
-    def col_sums(self) -> tuple[int, ...]:
-        return tuple(sum(r[k] for r in self.entries) for k in range(self.cols))
-
-    def supports(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(k for k, v in enumerate(r) if v) for r in self.entries)
 
 
 def _check_cover_degree(r: int, d: int) -> int:
@@ -123,7 +91,7 @@ def enumerate_stratum_indices(spec: ModuliSpec, d: int) -> Iterator[tuple]:
     yield from itertools.product(*per_point)
 
 
-def margin_tables(mults: Sequence[int], q: int, d: int) -> Iterator[MultiplicityMatrix]:
+def margin_tables(mults: Sequence[int], q: int, d: int) -> Iterator[Table]:
     """Every d x l table of non-negative integers whose rows sum to q and
     whose k-th column sums to mults[k], in lexicographic row-major order.
 
@@ -139,7 +107,7 @@ def margin_tables(mults: Sequence[int], q: int, d: int) -> Iterator[Multiplicity
     col_rem = list(mults)
     table = [[0] * width for _ in range(d)]
 
-    def fill(j: int, k: int, need: int) -> Iterator[MultiplicityMatrix]:
+    def fill(j: int, k: int, need: int) -> Iterator[Table]:
         for v in range(need if k == width - 1 else 0, min(col_rem[k], need) + 1):
             table[j][k] = v
             col_rem[k] -= v
@@ -148,10 +116,15 @@ def margin_tables(mults: Sequence[int], q: int, d: int) -> Iterator[Multiplicity
             elif j < d - 1:
                 yield from fill(j + 1, 0, q)
             else:
-                yield MultiplicityMatrix(tuple(map(tuple, table)))
+                yield tuple(map(tuple, table))
             col_rem[k] += v
 
     yield from fill(0, 0, q)
+
+
+def _supports(mat: Table) -> tuple[tuple[int, ...], ...]:
+    """Each row's positions of nonzero entries."""
+    return tuple(tuple(k for k, v in enumerate(row) if v) for row in mat)
 
 
 def enumerate_matrices(
@@ -159,7 +132,7 @@ def enumerate_matrices(
     m: PointWeights,
     r: int,
     d: int,
-) -> Iterator[MultiplicityMatrix]:
+) -> Iterator[Table]:
     """All matrices for one point compatible with the given subset tuple.
 
     Conditions: entry (j, k) is nonzero exactly when k lies in the j-th
@@ -182,13 +155,13 @@ def enumerate_matrices(
             if not (0 <= k < width):
                 raise ValueError(f"weight index {k} out of range")
     for mat in margin_tables(m.multiplicities, q, d):
-        if mat.supports() == supports:
+        if _supports(mat) == supports:
             yield mat
 
 
 def point_systems(
     pw: PointWeights, r: int, d: int
-) -> Iterator[tuple[tuple[tuple[int, ...], ...], list[MultiplicityMatrix]]]:
+) -> Iterator[tuple[tuple[tuple[int, ...], ...], list[Table]]]:
     """Per subset d-tuple at one point, in lexicographic order, the tuple
     and the list of its matrices, which may be empty.
 
@@ -196,15 +169,15 @@ def point_systems(
     of the tuples: the tables are enumerated once and grouped by support.
     """
     q = _check_cover_degree(r, d)
-    by_support: dict[tuple[tuple[int, ...], ...], list[MultiplicityMatrix]] = {}
+    by_support: dict[tuple[tuple[int, ...], ...], list[Table]] = {}
     for mat in margin_tables(pw.multiplicities, q, d):
-        by_support.setdefault(mat.supports(), []).append(mat)
+        by_support.setdefault(_supports(mat), []).append(mat)
     for t in itertools.product(weight_subsets(pw, q), repeat=d):
         yield t, by_support.get(t, [])
 
 
 def matrix_to_multiplicity_system(
-    mat: MultiplicityMatrix, weights: PointWeights
+    mat: Table, weights: PointWeights
 ) -> tuple[PointWeights, ...]:
     """Per-fiber weighted multiplicities read off the rows of a matrix.
 
@@ -212,10 +185,10 @@ def matrix_to_multiplicity_system(
     with multiplicity equal to the (j, k) entry whenever that entry is
     positive, in increasing weight order.
     """
-    if mat.cols != weights.length:
-        raise ValueError("matrix width does not match the number of weights")
     out = []
-    for row in mat.entries:
+    for row in mat:
+        if len(row) != weights.length:
+            raise ValueError("matrix width does not match the number of weights")
         kept = [(weights.weights[k], v) for k, v in enumerate(row) if v]
         if not kept:
             raise ValueError("matrix row without positive entries")
@@ -241,26 +214,31 @@ def moduli_dimension(spec: ModuliSpec) -> int:
     return total
 
 
-def matrix_flag_term(mat: MultiplicityMatrix) -> int:
+def matrix_flag_term(mat: Table) -> int:
     """Sum over the rows of the flag dimension of their positive entries,
     (sum(row)^2 - sum v^2) / 2, to which a zero entry adds nothing: one
     point's contribution to the dimension of its stratum."""
-    return sum((sum(row) ** 2 - sum(v * v for v in row)) // 2 for row in mat.entries)
+    return sum((sum(row) ** 2 - sum(v * v for v in row)) // 2 for row in mat)
 
 
-def _check_matrix_margins(mat: MultiplicityMatrix, pw: PointWeights, q: int, d: int) -> None:
-    if mat.rows != d:
-        raise ValueError(f"matrix has {mat.rows} rows, expected {d}")
-    if mat.cols != pw.length:
+def _check_matrix_margins(mat: Table, pw: PointWeights, q: int, d: int) -> None:
+    """Check a matrix from outside: d rows of width l, non-negative int
+    entries, rows summing to q and columns to the multiplicities."""
+    if len(mat) != d:
+        raise ValueError(f"matrix has {len(mat)} rows, expected {d}")
+    if any(len(row) != pw.length for row in mat):
         raise ValueError("matrix width does not match the number of weights")
-    if mat.row_sums() != (q,) * d:
+    for v in itertools.chain(*mat):
+        if not isinstance(v, int) or isinstance(v, bool) or v < 0:
+            raise ValueError(f"non-negative integer entry expected, got {v!r}")
+    if any(sum(row) != q for row in mat):
         raise ValueError(f"rows must sum to {q}")
-    if mat.col_sums() != pw.multiplicities:
+    if tuple(map(sum, zip(*mat))) != pw.multiplicities:
         raise ValueError("columns must sum to the point multiplicities")
 
 
 def stratum_dimension(
-    spec: ModuliSpec, d: int, mats: Mapping[str, MultiplicityMatrix]
+    spec: ModuliSpec, d: int, mats: Mapping[str, Table]
 ) -> int:
     """(g-1)(r^2/d - 1) plus, per point and fiber row, the flag
     dimension of the positive entries of that row."""
@@ -277,7 +255,7 @@ def stratum_dimension(
 
 def enumerate_strata(
     spec: ModuliSpec, d: int
-) -> Iterator[tuple[tuple, dict[str, MultiplicityMatrix]]]:
+) -> Iterator[tuple[tuple, dict[str, Table]]]:
     """All (index, matrix system) pairs, lazily; indices whose matrix
     collection is empty at some point are skipped."""
     systems = [dict(point_systems(pw, spec.rank, d)) for _, pw in spec.points]

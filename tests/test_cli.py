@@ -12,7 +12,6 @@ from hypothesis import example, given, settings, strategies as hs
 
 from parastrata import (
     ModuliSpec,
-    MultiplicityMatrix,
     PointWeights,
     check_parabolic_morphism,
     codim_report,
@@ -38,7 +37,7 @@ from parastrata.cli import (
 )
 from parastrata.exact import Cyclotomic, ExactMatrix, cyclotomic_field
 
-from test_acceptance import multiplicity_systems
+from test_acceptance import multiplicity_systems, run_cli
 from util import benchmark_gen, random_flag_automorphism, scalar_json, scalar_value, strata_report_oracle
 
 
@@ -234,6 +233,16 @@ def test_flagcoh_pic_rank_flag_override():
     assert report["result"]["t"] == 6
 
 
+def test_main_reads_stdin_unless_an_input_path_is_parsed(tmp_path):
+    """`main` decides from the parsed options: in `dim --output --input`
+    the word "--input" is the output path, so the JSON comes on stdin."""
+    payload = {"g": 2, "r": 2, "points": []}
+    code, out, err = run_cli(["dim", "--output", "--input"], payload, cwd=tmp_path)
+    assert (code, out, err) == (0, b"", b"")
+    _, expected, _ = run_command(["dim"], json.dumps(payload).encode())
+    assert expected and (tmp_path / "--input").read_bytes() == expected
+
+
 def test_strata_subcommand():
     report = result_of(["strata"], STRATA_EXAMPLE)
     res = report["result"]
@@ -261,7 +270,7 @@ def test_strata_flag_terms_match_stratum_dimension():
                     listed = 0
                     for index in res["per_point"][0]["indices"]:
                         for mat in index["matrices"]:
-                            entries = MultiplicityMatrix(tuple(tuple(row) for row in mat["entries"]))
+                            entries = tuple(tuple(row) for row in mat["entries"])
                             assert mat["flag_term"] == stratum_dimension(spec, d, {"p1": entries}) - base
                             listed += 1
                     rep = codim_report(spec, d)

@@ -60,17 +60,30 @@ def test_benchmark_tracer_installs():
 
 
 @pytest.mark.parametrize("workload", ["sweep", "descend", "requests"])
-def test_benchmark_traced_round_runs(workload):
+def test_benchmark_traced_round_runs(workload, tmp_path):
     """A traced round of each workload runs through the tracer's wrappers
     and checks out, so a change that breaks a wrapper (one that reads a
-    library value's fields, say) fails here.  No spans are written."""
+    library value's fields, say) fails here.  Its spans are written one
+    JSON object a line, and the untraced replay of one round checks out
+    too: a traced benchmark run takes both steps."""
+    spans = tmp_path / "spans.jsonl"
     argv = [sys.executable, "perfbench/worker.py", "--mode", "trace", "--workload", workload,
-            "--seed", "0", "--seconds", "0.01"]
+            "--seed", "0", "--seconds", "0.01", "--spans", str(spans)]
     proc = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["failures"] == [] and result["exit_nonzero"] == 0
     assert "cli.run_command" in result["stats"]
+    lines = spans.read_text().splitlines()
+    assert len(lines) == result["spans"] > 0
+    for line in lines:
+        json.loads(line)
+
+    argv = [sys.executable, "perfbench/worker.py", "--mode", "replay", "--workload", workload,
+            "--seed", "0", "--rounds", "1"]
+    proc = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1])["failures"] == []
 
 
 @pytest.mark.parametrize("workload", ["sweep", "descend", "requests"])

@@ -11,7 +11,6 @@ from parastrata import (
     CodimReport,
     CoverSpec,
     ModuliSpec,
-    MultiplicityMatrix,
     ParabolicDatum,
     PointWeights,
     codim_report,
@@ -115,7 +114,7 @@ def test_multi_point_indices_are_products():
 
 def test_matrices_distinct_singletons():
     mats = list(enumerate_matrices(((0,), (1,)), PW2, 2, 2))
-    assert [m.entries for m in mats] == [((1, 0), (0, 1))]
+    assert list(mats) == [((1, 0), (0, 1))]
 
 
 def test_matrices_conflicting_singletons_empty():
@@ -124,7 +123,7 @@ def test_matrices_conflicting_singletons_empty():
 
 def test_matrices_full_support_rank_four():
     mats = list(enumerate_matrices(((0, 1), (0, 1)), PW42, 4, 2))
-    assert [m.entries for m in mats] == [((1, 1), (1, 1))]
+    assert list(mats) == [((1, 1), (1, 1))]
 
 
 def test_matrix_oracle_agreement_battery():
@@ -145,7 +144,7 @@ def test_matrix_oracle_agreement_battery():
                     margin_valid = brute_force_margin_matrices(mults, r, d)
                     listed = 0
                     for t, mats in point_systems(point, r, d):
-                        got = [m.entries for m in mats]
+                        got = list(mats)
                         expected = [m for m in margin_valid if support_matches(m, t)]
                         assert got == expected
                         assert len(set(got)) == len(got)
@@ -156,7 +155,7 @@ def test_matrix_oracle_agreement_battery():
 def test_matrix_enumeration_is_deterministic_row_major():
     point = pw(["1/5", "2/5", "3/5"], [2, 2, 2])
     t = ((0, 1), (1, 2), (0, 2))
-    seq = [m.entries for m in enumerate_matrices(t, point, 6, 3)]
+    seq = list(enumerate_matrices(t, point, 6, 3))
     assert seq == sorted(seq)
 
 
@@ -164,26 +163,26 @@ def test_matrix_enumeration_is_deterministic_row_major():
 
 
 def test_system_from_permutation_matrix():
-    mat = MultiplicityMatrix(((1, 0), (0, 1)))
+    mat = ((1, 0), (0, 1))
     sysd = matrix_to_multiplicity_system(mat, PW2)
     assert sysd[0].entries == ((Fraction(1, 4), 1),)
     assert sysd[1].entries == ((Fraction(1, 2), 1),)
 
 
 def test_system_from_full_matrix():
-    mat = MultiplicityMatrix(((1, 1), (1, 1)))
+    mat = ((1, 1), (1, 1))
     sysd = matrix_to_multiplicity_system(mat, PW2)
     assert sysd[0] == sysd[1] == PW2
 
 
 def test_system_single_column():
-    mat = MultiplicityMatrix(((2,), (2,)))
+    mat = ((2,), (2,))
     sysd = matrix_to_multiplicity_system(mat, pw(["1/3"], [4]))
     assert sysd[0] == sysd[1] == pw(["1/3"], [2])
 
 
 def test_system_rejects_zero_row():
-    mat = MultiplicityMatrix(((1, 1), (0, 0)))
+    mat = ((1, 1), (0, 0))
     with pytest.raises(ValueError):
         matrix_to_multiplicity_system(mat, PW2)
 
@@ -212,7 +211,7 @@ def test_system_pushforward_consistency():
             )
             assert merged.weights == expected_weights
             tally = {w: 0 for w in expected_weights}
-            for j, row in enumerate(mat.entries):
+            for j, row in enumerate(mat):
                 for k, v in enumerate(row):
                     if v:
                         tally[point.weights[k]] += v
@@ -246,10 +245,10 @@ def test_moduli_dimension_values():
 
 def test_stratum_dimension_values():
     spec = ModuliSpec.of(2, 2, {"p": PW2})
-    assert stratum_dimension(spec, 2, {"p": MultiplicityMatrix(((1, 0), (0, 1)))}) == 1
+    assert stratum_dimension(spec, 2, {"p": ((1, 0), (0, 1))}) == 1
     spec42 = ModuliSpec.of(2, 4, {"p": PW42})
-    assert stratum_dimension(spec42, 2, {"p": MultiplicityMatrix(((1, 1), (1, 1)))}) == 9
-    assert stratum_dimension(spec42, 2, {"p": MultiplicityMatrix(((2, 0), (0, 2)))}) == 7
+    assert stratum_dimension(spec42, 2, {"p": ((1, 1), (1, 1))}) == 9
+    assert stratum_dimension(spec42, 2, {"p": ((2, 0), (0, 2))}) == 7
 
 
 def test_stratum_dimension_genus_identity():
@@ -257,18 +256,18 @@ def test_stratum_dimension_genus_identity():
     from parastrata import covering_genus
 
     spec42 = ModuliSpec.of(3, 4, {"p": PW42})
-    mat = MultiplicityMatrix(((1, 1), (1, 1)))
+    mat = ((1, 1), (1, 1))
     got = stratum_dimension(spec42, 2, {"p": mat})
     g, r, d = 3, 4, 2
     gy = covering_genus(g, d)
-    flag_terms = sum(flag_dimension([v for v in row if v]) for row in mat.entries)
+    flag_terms = sum(flag_dimension([v for v in row if v]) for row in mat)
     assert got == (r * r // (d * d)) * (gy - 1) + 1 - g + flag_terms
 
 
 def test_stratum_dimension_invariant_under_row_shift():
     spec = ModuliSpec.of(2, 6, {"p": pw(["1/5", "2/5", "3/5"], [2, 2, 2])})
     for mat in enumerate_matrices(((0, 1), (1, 2), (0, 2)), spec.weights_at("p"), 6, 3):
-        shifted = MultiplicityMatrix(mat.entries[1:] + mat.entries[:1])
+        shifted = mat[1:] + mat[:1]
         assert stratum_dimension(spec, 3, {"p": mat}) == stratum_dimension(
             spec, 3, {"p": shifted}
         )
@@ -277,7 +276,27 @@ def test_stratum_dimension_invariant_under_row_shift():
 def test_stratum_dimension_validates_margins():
     spec = ModuliSpec.of(2, 2, {"p": PW2})
     with pytest.raises(ValueError):
-        stratum_dimension(spec, 2, {"p": MultiplicityMatrix(((1, 1), (0, 0)))})
+        stratum_dimension(spec, 2, {"p": ((1, 1), (0, 0))})
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        ((True, 0), (0, True)),
+        ((2, -1), (-1, 2)),
+        ((Fraction(1), 0), (0, 1)),
+        ((1, 0), (0,)),
+    ],
+)
+def test_matrix_from_outside_is_checked(bad):
+    """A matrix is a plain tuple of rows, checked where it comes in: the
+    first three have the right margins but an entry that is not a
+    non-negative int, the last is ragged."""
+    spec = ModuliSpec.of(2, 2, {"p": PW2})
+    with pytest.raises(ValueError):
+        stratum_dimension(spec, 2, {"p": bad})
+    with pytest.raises(ValueError):
+        matrix_to_multiplicity_system(bad, PW2)
 
 
 # --- codimension reports -----------------------------------------------------------------
@@ -403,10 +422,10 @@ def test_moduli_spec_rejects_invalid_data(args):
 def test_point_systems_lists_every_subset_tuple():
     for pw_, r, d in [(PW2, 2, 2), (PW42, 4, 2), (pw(["1/5", "2/5", "3/5"], [2, 2, 2]), 6, 3)]:
         subs = weight_subsets(pw_, r // d)
-        got = [(t, [m.entries for m in mats]) for t, mats in point_systems(pw_, r, d)]
+        got = list(point_systems(pw_, r, d))
         assert [t for t, _ in got] == list(itertools.product(subs, repeat=d))
         for t, mats in got:
-            assert mats == [m.entries for m in enumerate_matrices(t, pw_, r, d)]
+            assert mats == list(enumerate_matrices(t, pw_, r, d))
 
 
 def test_margin_tables_match_oracle_on_acceptance_grid():
@@ -421,7 +440,7 @@ def test_margin_tables_match_oracle_on_acceptance_grid():
                     if sum(mults) != r:
                         continue
                     expected = brute_force_margin_matrices(mults, r, d)
-                    assert [m.entries for m in margin_tables(mults, q, d)] == expected, (mults, d)
+                    assert list(margin_tables(mults, q, d)) == expected, (mults, d)
                     point = PointWeights.of([Fraction(k, width + 1) for k in range(1, width + 1)], mults)
                     rep = codim_report(ModuliSpec.of(2, r, {"p": point}), d)
                     assert rep.num_systems == len(expected)

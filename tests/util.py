@@ -54,7 +54,7 @@ def strata_report_oracle(payload) -> bytes:
             {
                 "subsets": [[labels[k] for k in sub] for sub in t],
                 "matrices": [
-                    {"entries": [list(row) for row in mat.entries], "flag_term": st.matrix_flag_term(mat)}
+                    {"entries": [list(row) for row in mat], "flag_term": st.matrix_flag_term(mat)}
                     for mat in mats
                 ],
             }
