@@ -64,8 +64,8 @@ def test_benchmark_traced_round_runs(workload, tmp_path):
     """A traced round of each workload runs through the tracer's wrappers
     and checks out, so a change that breaks a wrapper (one that reads a
     library value's fields, say) fails here.  Its spans are written one
-    JSON object a line, and the untraced replay of one round checks out
-    too: a traced benchmark run takes both steps."""
+    JSON object a line, and an untraced replay checks out too: a
+    traced benchmark run takes both steps."""
     spans = tmp_path / "spans.jsonl"
     argv = [sys.executable, "perfbench/worker.py", "--mode", "trace", "--workload", workload,
             "--seed", "0", "--seconds", "0.01", "--spans", str(spans)]
@@ -79,8 +79,12 @@ def test_benchmark_traced_round_runs(workload, tmp_path):
     for line in lines:
         json.loads(line)
 
+    # `worker.slowdowns` divides by the calibration samples taken during
+    # the requests, one per 5 ms, so a replay needs about 0.1 s of
+    # request time: one round of `requests` often gets no sample
+    rounds = {"sweep": 10, "descend": 1, "requests": 40}[workload]
     argv = [sys.executable, "perfbench/worker.py", "--mode", "replay", "--workload", workload,
-            "--seed", "0", "--rounds", "1"]
+            "--seed", "0", "--rounds", str(rounds)]
     proc = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1])["failures"] == []
