@@ -44,7 +44,6 @@ from .cover import (
     pushforward_point,
 )
 from .eigenflag import (
-    DescentResult,
     EigenVector,
     FlagAutomorphism,
     WeightedFlag,

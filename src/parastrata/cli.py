@@ -40,6 +40,10 @@ MAX_FLAGCOH_RANK = 100
 # sweep is buffered: 170,786 lines take about 2 s and peak at 145 MiB on a
 # 2-vCPU x86_64 host with Python 3.11
 MAX_SWEEP_WORK = 200_000
+# the most subset d-tuples a `strata` listing may write, summed over its
+# points.  The report is built whole: 175,616 of them (r 12, d 3, six weights
+# of multiplicity 2) wrote 68 MB at a 291 MiB peak
+MAX_STRATA_INDICES = 100_000
 
 # ASCII digits only, and \Z: `$` would also match before a trailing newline
 _FRACTION_RE = re.compile(r"([+-]?[0-9]+)(?:/([1-9][0-9]*))?\Z")
@@ -336,8 +340,23 @@ def cmd_strata(payload) -> tuple[dict, dict]:
     """Per point, its echo, its `subset_count` and its indices, each a
     subset d-tuple from `st.point_systems` with its matrices.  A point's
     "indices" value is an `_Encoded` text from `_indices_text`, which
-    `_report_json` writes as it is."""
+    `_report_json` writes as it is.  The subset d-tuples, sum_p
+    `subset_count`**d, are counted first; past `MAX_STRATA_INDICES` a
+    ValidationError names the point that took the count there."""
     echo, spec, d = _parse_strata_common(payload)
+    total = 0
+    for i, point in enumerate(echo["points"]):
+        count = st.subset_count(len(point["weights"]), spec.rank // d)
+        tuples = 1
+        # count**d, cut short past the cap; a count of 1 gives 1 for any d
+        for _ in range(d if count > 1 else 0):
+            tuples *= count
+            if total + tuples > MAX_STRATA_INDICES:
+                break
+        total += tuples
+        if total > MAX_STRATA_INDICES:
+            raise ValidationError(f"$.points[{i}]",
+                                  f"the listing exceeds its budget of {MAX_STRATA_INDICES} subset tuples")
     per_point = []
     num_indices = 1
     num_systems = 1
@@ -602,24 +621,27 @@ def cmd_descend(payload, convention: str) -> tuple[dict, dict]:
         subspaces.append(sub)
         subspaces_echo.append(sub_echo)
     try:
-        phi = ef.FlagAutomorphism(ExactMatrix.from_residues(field, rows), order)
-        flag = ef.WeightedFlag(order, [ExactMatrix.from_residues(field, sub) for sub in subspaces], weights)
-        res = ef.descend(phi, flag, order)
+        phi = ef.FlagAutomorphism(ExactMatrix.from_residues(field, rows))
+        flag = ef.WeightedFlag([ExactMatrix.from_residues(field, sub) for sub in subspaces], weights)
+        table = ef.descend(phi, flag)
     except ValueError as exc:
         raise ValidationError("$", str(exc)) from exc
+    labels = [frac_str(w) for w in weights]
     echo = {
         "order": order,
         "automorphism": rows_echo,
-        "flag": {"weights": [frac_str(w) for w in weights], "subspaces": subspaces_echo},
+        "flag": {"weights": labels, "subspaces": subspaces_echo},
     }
-    fibers = []
-    for j, (pw, dim) in enumerate(zip(res.fiber_weights, res.eigen_dims), start=1):
-        point = echo_point(pw) if pw else {"weights": [], "mults": []}
-        fibers.append({"fiber": j, "eigenvalue_exponent": j % order, "dim": dim, **point})
+    # fiber j is row j - 1: its sum, and its nonzero entries under their weights
+    fibers = [
+        {"fiber": j, "eigenvalue_exponent": j % order, "dim": sum(row),
+         "weights": [w for w, m in zip(labels, row) if m], "mults": [m for m in row if m]}
+        for j, row in enumerate(table, start=1)
+    ]
     result = {
         "fibers": fibers,
-        "matrix": [list(row) for row in res.matrix],
-        "fixed_point_shape": ef.fixed_point_shape(res, flag.ambient_dim, order),
+        "matrix": [list(row) for row in table],
+        "fixed_point_shape": ef.fixed_point_shape(table),
         # descend accepted the flag, so the invertible phi maps each V_k
         # onto itself: a strict trigger (i > j) asks phi(V_i) in V_{j+1},
         # which contains V_i, and always holds; the non-strict trigger at

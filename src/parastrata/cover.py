@@ -66,18 +66,17 @@ def covering_genus(base_genus: int, degree: int) -> int:
     return degree * (base_genus - 1) + 1
 
 
-def pushforward_point(fiber_data: Sequence[PointWeights | None]) -> PointWeights:
+def pushforward_point(fiber_data: Sequence[PointWeights]) -> PointWeights:
     """Merge the weighted flags on one fiber into base-point data.
 
     The merged weight set is the sorted union of the fiber weight sets.
     The multiplicity of each merged weight, the dimension drop of the
     induced filtration there, is the sum of that weight's multiplicities
-    over the fibers.  Fibers marked None carry no data and are skipped.
+    over the fibers.
     """
     merged: Counter = Counter()
     for pw in fiber_data:
-        if pw is not None:
-            merged.update(dict(pw.entries))
+        merged.update(dict(pw.entries))
     if not merged:
         raise ValueError("no fiber point carries data")
     return PointWeights(tuple(sorted(merged.items())))

@@ -1,6 +1,7 @@
 """Exact flag linear algebra over cyclotomic fields: nested eigenbases
-of finite-order flag automorphisms, descent of a weighted flag to
-per-fiber data, and the weighted-flag morphism predicate.
+of finite-order flag automorphisms, descent of a weighted flag to its
+d x l multiplicity table (the `strata.Table` that indexes a fixed-point
+stratum), and the weighted-flag morphism predicate.
 
 A flag automorphism of order d is diagonalizable with eigenvalues among
 the d-th roots of unity, so everything here happens inside Q(zeta_d);
@@ -10,7 +11,6 @@ basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -76,17 +76,17 @@ class WeightedFlag:
     """Strictly decreasing chain of subspaces with increasing weights.
 
     The first subspace must be the whole ambient space; each subspace
-    is given by a full-row-rank basis matrix over Q(zeta_d) and is
-    checked to contain the next one.  Both checks are ranks taken by
-    the fraction-free kernel on the basis rows cleared of denominators.
+    is given by a full-row-rank basis matrix over the first basis's
+    field Q(zeta_d) and is checked to contain the next one.  Both
+    checks are ranks taken by the fraction-free kernel on the basis rows
+    cleared of denominators.
     The first containment needs no rank: n independent rows of length n
     span the whole space.
     """
 
-    __slots__ = ("field_order", "subspaces", "weights", "field", "dims")
+    __slots__ = ("subspaces", "weights", "field", "dims")
 
-    def __init__(self, field_order: int, subspaces: Sequence[ExactMatrix], weights: Sequence[Fraction]):
-        field = cyclotomic_field(field_order)
+    def __init__(self, subspaces: Sequence[ExactMatrix], weights: Sequence[Fraction]):
         subspaces = tuple(subspaces)
         weights = tuple(to_fraction(w) for w in weights)
         if not subspaces:
@@ -100,6 +100,7 @@ class WeightedFlag:
             if prev_w is not None and w <= prev_w:
                 raise ValueError("weights must be strictly increasing")
             prev_w = w
+        field = subspaces[0].field
         n = subspaces[0].cols
         for sub in subspaces:
             if sub.field != field:
@@ -120,7 +121,6 @@ class WeightedFlag:
                 raise ValueError("each subspace must contain the next one")
         if dims[-1] < 1:
             raise ValueError("the last subspace must be nonzero")
-        self.field_order = field_order
         self.field = field
         self.subspaces = subspaces
         self.weights = weights
@@ -129,8 +129,7 @@ class WeightedFlag:
     @staticmethod
     def of(field_order: int, subspaces: Sequence[Sequence[Sequence]], weights) -> "WeightedFlag":
         field = cyclotomic_field(field_order)
-        mats = [ExactMatrix.from_rows(field, rows) for rows in subspaces]
-        return WeightedFlag(field_order, mats, weights)
+        return WeightedFlag([ExactMatrix.from_rows(field, rows) for rows in subspaces], weights)
 
     @property
     def ambient_dim(self) -> int:
@@ -152,8 +151,8 @@ class WeightedFlag:
 
 
 class FlagAutomorphism:
-    """Square matrix over Q(zeta_d) whose d-th power is the identity,
-    carried with ``nullities[e]``, the dimension of its zeta_d**e
+    """Square matrix over Q(zeta_d) whose d-th power is the identity, d
+    being its field's order, carried with ``nullities[e]``, the dimension of its zeta_d**e
     eigenspace.  They are its order check: x**d - 1 has d distinct roots
     in characteristic 0, so phi**d = 1 exactly when they sum to n.
 
@@ -165,19 +164,20 @@ class FlagAutomorphism:
     check there.
     """
 
-    __slots__ = ("matrix", "order", "nullities")
+    __slots__ = ("matrix", "nullities")
 
-    def __init__(self, matrix: ExactMatrix, order: int):
+    def __init__(self, matrix: ExactMatrix):
         if matrix.rows != matrix.cols:
             raise ValueError("automorphism matrix must be square")
-        field = cyclotomic_field(order)
-        if matrix.field != field:
-            raise ValueError("matrix must live over the order-d cyclotomic field")
         self.nullities = eigen_nullities(matrix)
         if sum(self.nullities) != matrix.rows:
-            raise ValueError(f"matrix to the power {order} is not the identity")
+            raise ValueError(f"matrix to the power {matrix.field.order} is not the identity")
         self.matrix = matrix
-        self.order = order
+
+    @property
+    def order(self) -> int:
+        """d, the order of the matrix's field Q(zeta_d)."""
+        return self.matrix.field.order
 
     @property
     def eigenspaces(self) -> tuple[tuple[Vector, ...], ...]:
@@ -191,8 +191,7 @@ class FlagAutomorphism:
 
     @staticmethod
     def of(order: int, rows: Sequence[Sequence]) -> "FlagAutomorphism":
-        field = cyclotomic_field(order)
-        return FlagAutomorphism(ExactMatrix.from_rows(field, rows), order)
+        return FlagAutomorphism(ExactMatrix.from_rows(cyclotomic_field(order), rows))
 
     @property
     def dimension(self) -> int:
@@ -206,7 +205,7 @@ class EigenVector(NamedTuple):
 
 
 def _check_pair(phi: FlagAutomorphism, flag: WeightedFlag) -> None:
-    if flag.field_order != phi.order:
+    if flag.field != phi.matrix.field:
         raise ValueError("flag and automorphism must share the same field order")
     if phi.dimension != flag.ambient_dim:
         raise ValueError("automorphism dimension does not match the flag")
@@ -248,24 +247,13 @@ def nested_eigenbasis(phi: FlagAutomorphism, flag: WeightedFlag) -> tuple[tuple[
     return tuple(tuple(lv) for lv in levels)
 
 
-@dataclass(frozen=True)
-class DescentResult:
-    """Per-fiber weighted data split off a flag along an automorphism.
-
-    Fiber j (1-based, j in [1, d]) collects the eigenvectors with
-    eigenvalue zeta_d**j; its weighted multiplicities are the dimension
-    drops of the induced chain, zero drops discarded.  An eigenvalue
-    that does not occur yields an empty fiber (None).  ``matrix`` is the
-    tuple of the d rows of drops, zeros kept, fiber j's in row j - 1.
-    """
-
-    fiber_weights: tuple[PointWeights | None, ...]
-    eigen_dims: tuple[int, ...]
-    matrix: tuple[tuple[int, ...], ...]
-
-
-def descend(phi: FlagAutomorphism, flag: WeightedFlag, d: int) -> DescentResult:
-    """Split the flag along phi's eigenspaces, counting dimensions only.
+def descend(phi: FlagAutomorphism, flag: WeightedFlag) -> tuple[tuple[int, ...], ...]:
+    """The d x l multiplicity table of the flag split along phi's
+    eigenspaces, in `strata.Table` form: row j - 1 holds fiber j's
+    dimension drops, j = 1..d, the eigenvalue zeta_d**j's, zero rows
+    kept.  A row sums to that eigenspace's dimension, and its nonzero
+    entries, read against the flag's weights, are the fiber's weighted
+    multiplicities.
 
     dim(V_k cap E_z) = |B_k| - rank{phi b - z b : b in B_k} for the
     basis B_k of V_k, as for any linear map: it is the nullity of
@@ -279,8 +267,6 @@ def descend(phi: FlagAutomorphism, flag: WeightedFlag, d: int) -> DescentResult:
     the counts at a level reach its dimension, since the eigenspaces of
     distinct eigenvalues are independent.
     """
-    if d != phi.order:
-        raise ValueError("descent degree must equal the automorphism order")
     _check_pair(phi, flag)
     ell = flag.length
     phi_map = ResidueMap(phi.matrix)
@@ -299,26 +285,16 @@ def descend(phi: FlagAutomorphism, flag: WeightedFlag, d: int) -> DescentResult:
         raise ValueError("automorphism does not preserve the flag")
     for c in counts.values():
         c.append(0)  # closed by the zero subspace
+    d = phi.order
     absent = [0] * (ell + 1)
-    fibers: list[PointWeights | None] = []
-    dims: list[int] = []
-    rows: list[tuple[int, ...]] = []
-    for j in range(1, d + 1):
-        c = counts.get(j % d, absent)
-        row = tuple(c[k] - c[k + 1] for k in range(ell))
-        rows.append(row)
-        dims.append(c[0])
-        kept = [(flag.weights[k], row[k]) for k in range(ell) if row[k]]
-        fibers.append(PointWeights(tuple(kept)) if kept else None)
-    return DescentResult(tuple(fibers), tuple(dims), tuple(rows))
+    return tuple(tuple(c[k] - c[k + 1] for k in range(ell))
+                 for c in (counts.get(j % d, absent) for j in range(1, d + 1)))
 
 
-def fixed_point_shape(res: DescentResult, r: int, d: int) -> bool:
-    """True when every eigenvalue contributes an eigenspace of dimension
-    exactly r/d (in particular d must divide r)."""
-    if len(res.eigen_dims) != d:
-        raise ValueError("result does not match the given degree")
-    return r % d == 0 and all(dim == r // d for dim in res.eigen_dims)
+def fixed_point_shape(table: Sequence[Sequence[int]]) -> bool:
+    """True when every eigenspace has the same dimension, exactly r/d:
+    the rows of a `descend` table sum alike."""
+    return len(set(map(sum, table))) == 1
 
 
 def check_parabolic_morphism(
@@ -337,7 +313,7 @@ def check_parabolic_morphism(
     """
     if convention not in ("strict", "non-strict"):
         raise ValueError(f"unknown convention {convention!r}")
-    if src.field_order != dst.field_order or f.field != src.field:
+    if dst.field != src.field or f.field != src.field:
         raise ValueError("flags and map must share one field")
     if f.cols != src.ambient_dim or f.rows != dst.ambient_dim:
         raise ValueError("map shape does not match the flags")

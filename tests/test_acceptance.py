@@ -39,6 +39,7 @@ from parastrata import (
     pushforward_point,
     kunneth_report,
     levi_components,
+    matrix_to_multiplicity_system,
     moduli_dimension,
     weyl_bfs_order,
     weyl_poincare,
@@ -191,21 +192,27 @@ def test_criterion_4_descent_roundtrip():
         phi, flag = random_flag_automorphism(rng, r, d, uniform=uniform)
         neb = nested_eigenbasis(phi, flag)
         assert_valid_nested_eigenbasis(phi, flag, neb)
-        res = descend(phi, flag, d)
-        merged = pushforward_point(res.fiber_weights)
+        table = descend(phi, flag)
+        # row j - 1 is fiber j, the zeta^j eigenspace; the fibers that
+        # carry data are its nonzero rows, read as a strata table's are
+        assert tuple(map(sum, table)) == tuple(phi.nullities[j % d] for j in range(1, d + 1))
+        fibers = matrix_to_multiplicity_system([row for row in table if any(row)], flag.point_weights())
+        merged = pushforward_point(fibers)
         assert merged.weights == flag.weights
         assert merged.dimension_profile() == flag.dims
-        if fixed_point_shape(res, r, d):
+        shape = fixed_point_shape(table)
+        assert shape == (r % d == 0 and all(k == r // d for k in phi.nullities))
+        if shape:
             shaped += 1
             q = r // d
-            assert tuple(map(sum, res.matrix)) == (q,) * d
-            assert tuple(map(sum, zip(*res.matrix))) == flag.point_weights().multiplicities
-            supports = tuple(tuple(k for k, v in enumerate(row) if v) for row in res.matrix)
+            assert tuple(map(sum, table)) == (q,) * d
+            assert tuple(map(sum, zip(*table))) == flag.point_weights().multiplicities
+            supports = tuple(tuple(k for k, v in enumerate(row) if v) for row in table)
             for support in supports:
                 assert support and len(support) <= q
             # the matrix belongs to the collection indexed by its supports
             collection = enumerate_matrices(supports, flag.point_weights(), r, d)
-            assert res.matrix in collection
+            assert table in collection
         cases += 1
     assert shaped > 20
     print(f"  verified {cases} automorphisms ({shaped} with the stable fixed-point shape)")

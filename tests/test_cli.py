@@ -21,6 +21,7 @@ from parastrata import (
 from parastrata.cli import (
     MAX_DESCEND_ORDER,
     MAX_FLAGCOH_RANK,
+    MAX_STRATA_INDICES,
     MAX_SWEEP_WORK,
     ValidationError,
     _codim_result,
@@ -617,6 +618,48 @@ def test_descend_order_is_bounded():
     assert report["input"]["order"] == MAX_DESCEND_ORDER
 
 
+def test_strata_listing_is_bounded(monkeypatch):
+    """A `strata` listing of more than `MAX_STRATA_INDICES` subset
+    d-tuples, sum_p subset_count**d, exits 2 with nothing on stdout,
+    naming the point that takes the count past it.  The four routes
+    below wrote 68, 142 and 774 MB, or were still running at 15 s; each
+    is refused before any table is enumerated."""
+
+    def point(n, den, mult):
+        return {"weights": [f"{k}/{den}" for k in range(1, n + 1)], "mults": [mult] * n}
+
+    message = b"error: %s: the listing exceeds its budget of %d subset tuples\n"
+    routes = [  # r, d, the point, its subset d-tuples
+        (12, 3, point(6, 7, 2), 175_616),
+        (10, 2, point(10, 11, 1), 405_769),
+        (9, 3, point(9, 10, 1), 2_146_689),
+        (12, 3, point(12, 13, 1), 498_677_257),
+    ]
+    for r, d, pt, tuples in routes:
+        assert subset_count(len(pt["weights"]), r // d) ** d == tuples
+        start = time.perf_counter()
+        got = run_json(["strata"], {"g": 2, "r": r, "d": d, "points": [pt]})
+        assert got == (2, b"", message % (b"$.points[0]", MAX_STRATA_INDICES))
+        assert time.perf_counter() - start < 2
+    # the count is summed over the points, and a listing at the cap runs:
+    # README's example has 4 tuples, a one-weight point 1
+    one = {"weights": ["1/2"], "mults": [2]}
+    payloads = [
+        ([CODIM_EXAMPLE["points"][0]] * 2, 7, b"$.points[1]"),
+        ([CODIM_EXAMPLE["points"][0]] * 2, 8, None),
+        ([one] * 3, 2, b"$.points[2]"),
+        ([one] * 3, 3, None),
+    ]
+    for points, cap, named in payloads:
+        monkeypatch.setattr("parastrata.cli.MAX_STRATA_INDICES", cap)
+        code, out, err = run_json(["strata"], dict(CODIM_EXAMPLE, points=points))
+        if named:
+            assert (code, out, err) == (2, b"", message % (named, cap))
+        else:
+            listed = json.loads(out)["result"]["per_point"]
+            assert code == 0 and sum(len(p["indices"]) for p in listed) == cap
+
+
 def test_flagcoh_rank_is_bounded():
     """A type of total rank above `MAX_FLAGCOH_RANK` exits 2 naming
     `$.type`, with nothing on stdout: A_(2**70) would not fit an index
@@ -944,11 +987,11 @@ def test_descend_parse_flag_and_counts_build_no_cyclotomic(monkeypatch):
         subspaces = [parse_matrix(sub, "$", field, scalars)[0] for sub in payload["flag"]["subspaces"]]
         weights = [parse_fraction(w, "$") for w in payload["flag"]["weights"]]
         assert built == [0], payload
-        phi = ef.FlagAutomorphism(ExactMatrix.from_residues(field, rows), order)
+        phi = ef.FlagAutomorphism(ExactMatrix.from_residues(field, rows))
         order_check += built[0]
         built[0] = 0
-        flag = ef.WeightedFlag(order, [ExactMatrix.from_residues(field, sub) for sub in subspaces], weights)
-        ef.descend(phi, flag, order)
+        flag = ef.WeightedFlag([ExactMatrix.from_residues(field, sub) for sub in subspaces], weights)
+        ef.descend(phi, flag)
         assert built == [0], payload
     assert order_check > 0
 

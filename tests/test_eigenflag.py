@@ -19,6 +19,7 @@ from parastrata import (
     fixed_point_shape,
     inverse,
     kernel,
+    matrix_to_multiplicity_system,
     nested_eigenbasis,
     pushforward,
     pushforward_point,
@@ -36,6 +37,12 @@ def swap_flag():
         [[[1, 0], [0, 1]], [[1, 1]]],
         [Fraction(1, 4), Fraction(1, 2)],
     )
+
+
+def descended_fibers(table, flag):
+    """The fibers that carry data: the nonzero rows of a descent table
+    read against the flag's weights, as the rows of a strata table are."""
+    return matrix_to_multiplicity_system(tuple(row for row in table if any(row)), flag.point_weights())
 
 
 def assert_valid_nested_eigenbasis(phi, flag, neb):
@@ -159,7 +166,7 @@ def test_flag_preservation_matches_span_oracle():
         other_field = WeightedFlag.of(d + 1, [[[1]]], [0])
         wider = WeightedFlag.of(d, [ExactMatrix.identity(field, r + 1).iter_rows()], [0])
         for f in (flag, invariant_flag, other_field, wider):
-            assert error_of(descend, phi, f, d) == error_of(nested_eigenbasis, phi, f)
+            assert error_of(descend, phi, f) == error_of(nested_eigenbasis, phi, f)
     assert outcomes == {True, False}
 
 
@@ -206,7 +213,7 @@ def order_check_candidates(rng, field, n):
 
 
 def test_automorphism_order_check_matches_power_oracle():
-    """FlagAutomorphism(m, d) accepts m exactly when m**d is the identity,
+    """FlagAutomorphism(m) over Q(zeta_d) accepts m exactly when m**d is the identity,
     and then carries the canonical bases of its d eigenspaces."""
     rng = random.Random(23)
     outcomes = set()
@@ -218,9 +225,9 @@ def test_automorphism_order_check_matches_power_oracle():
                 outcomes.add(expected)
                 if not expected:
                     with pytest.raises(ValueError, match=f"^matrix to the power {d} is not the identity$"):
-                        FlagAutomorphism(m, d)
+                        FlagAutomorphism(m)
                     continue
-                phi = FlagAutomorphism(m, d)
+                phi = FlagAutomorphism(m)
                 assert len(phi.eigenspaces) == d
                 assert sum(len(eig) for eig in phi.eigenspaces) == n
                 for e, eig in enumerate(phi.eigenspaces):
@@ -310,7 +317,7 @@ def test_jordan_blocks_fail_the_order_check():
             p = random_invertible(rng, field, n)
             for m in (ExactMatrix.from_rows(field, block), p * ExactMatrix.from_rows(field, rows) * inverse(p)):
                 with pytest.raises(ValueError, match=f"^matrix to the power {d} is not the identity$"):
-                    FlagAutomorphism(m, d)
+                    FlagAutomorphism(m)
 
 
 def test_eigen_nullities_rank_repeated_roots_only(monkeypatch):
@@ -376,7 +383,7 @@ def test_check_parabolic_morphism_takes_each_canonical_basis_once(monkeypatch):
         phi, flag = random_flag_automorphism(rng, rng.randint(3, 5), rng.randint(1, 4), max_len=4)
         if flag.length < 3:
             continue
-        target = WeightedFlag(flag.field_order, flag.subspaces, flag.weights)
+        target = WeightedFlag(flag.subspaces, flag.weights)
         taken.clear()
         # phi preserves the flag, so no strict trigger fails and every pair is checked
         assert check_parabolic_morphism(flag, target, phi.matrix, "strict")
@@ -387,15 +394,21 @@ def test_check_parabolic_morphism_takes_each_canonical_basis_once(monkeypatch):
 # --- descent ---------------------------------------------------------------------
 
 
+def row_sums_are_nullities(table, phi):
+    """Row j - 1 of a descent table sums to dim E_{zeta^j}."""
+    d = phi.order
+    return tuple(map(sum, table)) == tuple(phi.nullities[j % d] for j in range(1, d + 1))
+
+
 def test_descend_swap_example():
     phi = FlagAutomorphism.of(2, [[0, 1], [1, 0]])
-    res = descend(phi, swap_flag(), 2)
-    assert res.eigen_dims == (1, 1)
-    assert res.matrix == ((1, 0), (0, 1))
-    q1, q2 = res.fiber_weights
+    table = descend(phi, swap_flag())
+    assert table == ((1, 0), (0, 1))
+    assert row_sums_are_nullities(table, phi)
+    q1, q2 = descended_fibers(table, swap_flag())
     assert q1.entries == ((Fraction(1, 4), 1),)
     assert q2.entries == ((Fraction(1, 2), 1),)
-    assert fixed_point_shape(res, 2, 2)
+    assert fixed_point_shape(table)
 
 
 def test_descend_identity_degree_one():
@@ -405,36 +418,29 @@ def test_descend_identity_degree_one():
         [[[1, 0], [0, 1]], [[1, 1]]],
         [Fraction(1, 4), Fraction(1, 2)],
     )
-    res = descend(phi, flag, 1)
-    assert res.eigen_dims == (2,)
-    (fiber,) = res.fiber_weights
+    table = descend(phi, flag)
+    assert table == ((1, 1),)
+    assert row_sums_are_nullities(table, phi)
+    (fiber,) = descended_fibers(table, flag)
     assert fiber.weights == (Fraction(1, 4), Fraction(1, 2))
     assert fiber.multiplicities == (1, 1)
 
 
 def test_descend_minus_identity():
     phi = FlagAutomorphism.of(2, [[-1, 0], [0, -1]])
-    res = descend(phi, swap_flag(), 2)
-    assert res.eigen_dims == (2, 0)
-    q1, q2 = res.fiber_weights
+    table = descend(phi, swap_flag())
+    assert table == ((1, 1), (0, 0))
+    assert row_sums_are_nullities(table, phi)
+    (q1,) = descended_fibers(table, swap_flag())
     assert q1.weights == (Fraction(1, 4), Fraction(1, 2))
     assert q1.multiplicities == (1, 1)
-    assert q2 is None
-    assert not fixed_point_shape(res, 2, 2)
-
-
-def test_descend_degree_must_match_order():
-    phi = FlagAutomorphism.of(2, [[0, 1], [1, 0]])
-    with pytest.raises(ValueError):
-        descend(phi, swap_flag(), 4)
+    assert not fixed_point_shape(table)
 
 
 def test_fixed_point_shape_values():
     phi = FlagAutomorphism.of(2, [[0, 1], [1, 0]])
-    res = descend(phi, swap_flag(), 2)
-    assert fixed_point_shape(res, 2, 2)
-    res2 = descend(FlagAutomorphism.of(2, [[-1, 0], [0, -1]]), swap_flag(), 2)
-    assert not fixed_point_shape(res2, 2, 2)
+    assert fixed_point_shape(descend(phi, swap_flag()))
+    assert not fixed_point_shape(descend(FlagAutomorphism.of(2, [[-1, 0], [0, -1]]), swap_flag()))
 
 
 def test_fixed_point_shape_three_fibers():
@@ -446,15 +452,15 @@ def test_fixed_point_shape_three_fibers():
     for i in range(6):
         for j in range(6):
             entries.append(diag[i] if i == j else field.zero)
-    phi = FlagAutomorphism(ExactMatrix(field, 6, 6, entries), 3)
+    phi = FlagAutomorphism(ExactMatrix(field, 6, 6, entries))
     flag = WeightedFlag(
-        3,
         [ExactMatrix.identity(field, 6)],
         [Fraction(1, 2)],
     )
-    res = descend(phi, flag, 3)
-    assert res.eigen_dims == (2, 2, 2)
-    assert fixed_point_shape(res, 6, 3)
+    table = descend(phi, flag)
+    assert tuple(map(sum, table)) == (2, 2, 2)
+    assert row_sums_are_nullities(table, phi)
+    assert fixed_point_shape(table)
 
 
 # --- morphism predicate ------------------------------------------------------------
@@ -539,10 +545,10 @@ def test_extend_basis_matches_greedy_oracle():
 # --- randomized structure and round trip ---------------------------------------------
 
 
-def descent_matches_flag(res, flag, d):
+def descent_matches_flag(table, flag):
     """Push the per-fiber data back through the degree-d merge and
     compare weights and dimension profile with the input flag."""
-    merged = pushforward_point(res.fiber_weights)
+    merged = pushforward_point(descended_fibers(table, flag))
     assert merged.weights == flag.weights
     assert merged.dimension_profile() == flag.dims
 
@@ -555,11 +561,12 @@ def test_descend_roundtrip_randomized():
         phi, flag = random_flag_automorphism(rng, r, d)
         neb = nested_eigenbasis(phi, flag)
         assert_valid_nested_eigenbasis(phi, flag, neb)
-        res = descend(phi, flag, d)
-        assert sum(res.eigen_dims) == r
-        assert tuple(map(sum, zip(*res.matrix))) == flag.point_weights().multiplicities
-        assert tuple(map(sum, res.matrix)) == res.eigen_dims
-        descent_matches_flag(res, flag, d)
+        table = descend(phi, flag)
+        assert len(table) == d
+        assert sum(map(sum, table)) == r
+        assert tuple(map(sum, zip(*table))) == flag.point_weights().multiplicities
+        assert row_sums_are_nullities(table, phi)
+        descent_matches_flag(table, flag)
 
 
 def test_descend_uniform_shape_matrix_conditions():
@@ -568,16 +575,16 @@ def test_descend_uniform_shape_matrix_conditions():
         d = rng.choice([2, 3])
         r = d * rng.randint(1, 3)
         phi, flag = random_flag_automorphism(rng, r, d, uniform=True)
-        res = descend(phi, flag, d)
-        assert fixed_point_shape(res, r, d)
+        table = descend(phi, flag)
+        assert fixed_point_shape(table)
         q = r // d
         # condition (a): support read off the matrix is a valid index tuple
-        for support in tuple(tuple(k for k, v in enumerate(row) if v) for row in res.matrix):
+        for support in tuple(tuple(k for k, v in enumerate(row) if v) for row in table):
             assert support
             assert len(support) <= q
         # condition (b)
-        assert tuple(map(sum, res.matrix)) == (q,) * d
-        assert tuple(map(sum, zip(*res.matrix))) == flag.point_weights().multiplicities
+        assert tuple(map(sum, table)) == (q,) * d
+        assert tuple(map(sum, zip(*table))) == flag.point_weights().multiplicities
 
 
 def test_descend_full_datum_pushforward_when_uniform():
@@ -586,10 +593,10 @@ def test_descend_full_datum_pushforward_when_uniform():
         d = rng.choice([2, 3])
         r = d * rng.randint(1, 3)
         phi, flag = random_flag_automorphism(rng, r, d, uniform=True)
-        res = descend(phi, flag, d)
+        fibers = matrix_to_multiplicity_system(descend(phi, flag), flag.point_weights())
         cov = CoverSpec.of(d, {"p": [f"q{j}" for j in range(1, d + 1)]})
         datum = ParabolicDatum.of(
-            r // d, 0, {f"q{j}": pw for j, pw in enumerate(res.fiber_weights, 1)}
+            r // d, 0, {f"q{j}": pw for j, pw in enumerate(fibers, 1)}
         )
         pushed = pushforward(cov, datum)
         assert pushed.rank == r
@@ -600,8 +607,8 @@ def test_descend_full_datum_pushforward_when_uniform():
 
 
 def descent_from_nested_eigenbasis(phi, flag):
-    """Oracle: eigen_dims, matrix rows and fiber weights read off the
-    vectors of ``nested_eigenbasis``."""
+    """Oracle: eigenspace dimensions, table rows and fiber weights read
+    off the vectors of ``nested_eigenbasis``."""
     neb = nested_eigenbasis(phi, flag)
     d, ell = phi.order, flag.length
     counts = Counter((ev.exponent, level) for level, vecs in enumerate(neb) for ev in vecs)
@@ -624,8 +631,9 @@ def test_descend_counts_match_nested_eigenbasis():
     rng = random.Random(16)
     cases += [random_flag_automorphism(rng, 8, d, max_len=4) for d in (15, 16, 24, 30)]
     for phi, flag in cases:
-        res = descend(phi, flag, phi.order)
+        table = descend(phi, flag)
         dims, rows, fibers = descent_from_nested_eigenbasis(phi, flag)
-        assert res.eigen_dims == dims
-        assert res.matrix == rows
-        assert [pw and list(pw.entries) for pw in res.fiber_weights] == fibers
+        assert table == rows
+        assert tuple(map(sum, table)) == dims
+        assert row_sums_are_nullities(table, phi)
+        assert [list(pw.entries) for pw in descended_fibers(table, flag)] == [f for f in fibers if f]

@@ -1,13 +1,18 @@
 """Source hygiene of the library: no runtime dependencies beyond the
 standard library, and no floating point.  The benchmark's seed-0
-outputs are also reproduced here, byte for byte, and README's Python
-tour is run against the results it documents."""
+outputs are also reproduced here, byte for byte, README's Python tour
+is run against the results it documents, and the names in README's
+layout table are resolved in their modules."""
 
 import ast
+import builtins
 import contextlib
 import hashlib
+import importlib
 import io
 import json
+import keyword
+import re
 import subprocess
 import sys
 import tokenize
@@ -116,6 +121,31 @@ def test_readme_layout_names_every_export():
     assert exported and sorted(name for name in exported if f"`{name}`" not in table) == []
 
 
+def test_readme_layout_names_resolve():
+    """Every backticked capitalized name in the layout row of module
+    `parastrata.X` resolves in X, dotted names attribute by attribute,
+    so that a deleted class cannot linger in README.  Builtins and
+    keywords are exempt."""
+    readme = (ROOT / "README.md").read_text().splitlines()
+    stale = []
+    for line in readme:
+        row = re.match(r"\| `(parastrata\.\w+)` *\|(.*)", line)
+        if not row:
+            continue
+        module = importlib.import_module(row[1])
+        for name in re.findall(r"`([A-Z][\w.]*)`", row[2]):
+            attrs = name.split(".")
+            if hasattr(builtins, attrs[0]) or keyword.iskeyword(attrs[0]):
+                continue
+            value = module
+            for attr in attrs:
+                if not hasattr(value, attr):
+                    stale.append(f"{row[1]}: {name}")
+                    break
+                value = getattr(value, attr)
+    assert stale == []
+
+
 def test_readme_tour_results_hold():
     """README's Python tour runs, and every result it documents holds.
     An expression's result is the comment on its line, or else the
@@ -148,4 +178,4 @@ def test_readme_tour_results_hold():
         elif below or printed.getvalue():
             assert printed.getvalue().splitlines() == below
             checked += 1
-    assert checked == 6
+    assert checked == 7

@@ -143,7 +143,7 @@ def random_flag_automorphism(rng, r, d, max_len=3, uniform=False):
          for i in range(r) for j in range(r)],
     )
     phi_matrix = p * diag * inverse(p)
-    phi = FlagAutomorphism(phi_matrix, d)
+    phi = FlagAutomorphism(phi_matrix)
 
     columns = [p.column(s) for s in range(r)]
     length = rng.randint(1, min(max_len, r))
@@ -155,7 +155,7 @@ def random_flag_automorphism(rng, r, d, max_len=3, uniform=False):
         ExactMatrix.from_rows(field, [columns[s] for s in subset]) for subset in chain
     ]
     weights = random_weights(rng, length)
-    flag = WeightedFlag(d, subspaces, weights)
+    flag = WeightedFlag(subspaces, weights)
     return phi, flag
 
 
