@@ -73,8 +73,6 @@ from .strata import (
 from .flagcoh import (
     CartanType,
     KunnethReport,
-    ParabolicSubset,
-    PoincarePolynomial,
     flag_poincare,
     fundamental_degrees,
     kunneth_report,

@@ -654,7 +654,7 @@ def cmd_descend(payload, convention: str) -> tuple[dict, dict]:
 # --- flagcoh -------------------------------------------------------------------
 
 
-def cmd_flagcoh(payload, pic_rank_qg_flag: int | None) -> tuple[dict, dict]:
+def cmd_flagcoh(payload) -> tuple[dict, dict]:
     doc = expect_object(payload, "$")
     expect_keys(doc, "$", ("type", "parabolics"), optional=("pic_rank_qg", "b2_mg"))
     tdoc = expect_array(doc["type"], "$.type")
@@ -682,16 +682,14 @@ def cmd_flagcoh(payload, pic_rank_qg_flag: int | None) -> tuple[dict, dict]:
         for j, part in enumerate(sub):
             part = expect_array(part, f"$.parabolics[{i}][{j}]")
             per_comp.append([expect_int(v, f"$.parabolics[{i}][{j}][{k}]", minimum=1) for k, v in enumerate(part)])
+        ps = tuple(tuple(sorted(set(part))) for part in per_comp)
         try:
-            ps = fc.ParabolicSubset.of(per_comp)
             fc.pic_rank_flag(ctype, ps)
         except ValueError as exc:
             raise ValidationError(f"$.parabolics[{i}]", str(exc)) from exc
         parabolics.append(ps)
     pic_rank_qg = doc.get("pic_rank_qg", 1)
     pic_rank_qg = expect_int(pic_rank_qg, "$.pic_rank_qg", minimum=1)
-    if pic_rank_qg_flag is not None:
-        pic_rank_qg = pic_rank_qg_flag
     b2_mg = expect_int(doc.get("b2_mg", 1), "$.b2_mg", minimum=0)
     try:
         report = fc.kunneth_report(ctype, parabolics, pic_rank_qg, b2_mg)
@@ -699,7 +697,7 @@ def cmd_flagcoh(payload, pic_rank_qg_flag: int | None) -> tuple[dict, dict]:
         raise ValidationError("$", str(exc)) from exc
     echo = {
         "type": [[f, n] for f, n in ctype.components],
-        "parabolics": [[list(part) for part in ps.per_component] for ps in parabolics],
+        "parabolics": [[list(part) for part in ps] for ps in parabolics],
         "pic_rank_qg": pic_rank_qg,
         "b2_mg": b2_mg,
     }
@@ -707,16 +705,16 @@ def cmd_flagcoh(payload, pic_rank_qg_flag: int | None) -> tuple[dict, dict]:
     for ps, levi, poly, rank_p in zip(parabolics, report.levis, report.factors, report.pic_ranks):
         factors.append(
             {
-                "parabolic": [list(part) for part in ps.per_component],
+                "parabolic": [list(part) for part in ps],
                 "levi": [[f, n] for f, n in levi.components],
                 "pic_rank": rank_p,
-                "poincare": list(poly.coefficients()),
+                "poincare": list(poly),
             }
         )
     result = {
-        "weyl_order": report.weyl.total(),
+        "weyl_order": sum(report.weyl),
         "factors": factors,
-        "poincare_F": list(report.product.coefficients()),
+        "poincare_F": list(report.product),
         "b1_F": report.b1,
         "b2_F": report.b2,
         "b3_F": report.b3,
@@ -737,7 +735,7 @@ def _parse_argv(argv):
         return "help", {}
     if sub not in SUBCOMMANDS:
         raise UsageError(f"unknown subcommand {sub!r}; expected one of {', '.join(SUBCOMMANDS)}")
-    opts = {"input": None, "output": None, "sweep": False, "convention": "strict", "pic_rank_qg": None}
+    opts = {"input": None, "output": None, "sweep": False, "convention": "strict"}
     i = 1
     while i < len(argv):
         arg = argv[i]
@@ -762,19 +760,6 @@ def _parse_argv(argv):
             if sub != "descend":
                 raise UsageError("--convention applies to the descend subcommand only")
             opts["convention"] = argv[i]
-        elif arg == "--pic-rank-qg":
-            i += 1
-            if sub != "flagcoh":
-                raise UsageError("--pic-rank-qg applies to the flagcoh subcommand only")
-            if i == len(argv):
-                raise UsageError("--pic-rank-qg requires a positive integer")
-            try:
-                value = int(argv[i])
-            except ValueError:
-                raise UsageError("--pic-rank-qg requires a positive integer") from None
-            if value < 1:
-                raise UsageError("--pic-rank-qg requires a positive integer")
-            opts["pic_rank_qg"] = value
         else:
             raise UsageError(f"unknown option {arg!r}")
         i += 1
@@ -792,7 +777,6 @@ subcommands:
   descend      split a weighted flag along a finite-order automorphism
                (--convention strict|non-strict)
   flagcoh      flag-variety Poincare polynomials and Picard ranks
-               (--pic-rank-qg N)
 
 Input is a JSON document on stdin unless --input is given.  Exit codes:
 0 success, 1 internal error, 2 invalid input.
@@ -889,7 +873,7 @@ def run_command(argv, stdin: bytes = b"") -> tuple[int, bytes, bytes]:
             elif sub == "descend":
                 echo, result = cmd_descend(payload, opts["convention"])
             else:
-                echo, result = cmd_flagcoh(payload, opts["pic_rank_qg"])
+                echo, result = cmd_flagcoh(payload)
             report = {"version": VERSION, "subcommand": sub, "input": echo, "result": result}
             out = _report_json(report) + "\n"
     except ValidationError as exc:

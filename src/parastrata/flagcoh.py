@@ -2,9 +2,12 @@
 subdiagram classification, Betti numbers and Picard ranks of flag
 varieties G/P, and the Kunneth assembly of second Betti numbers.
 
-Poincare polynomials live in the variable q, where the coefficient of
-q**k records the Betti number in (real) degree 2k; all spaces modeled
-here have cohomology in even degrees only.
+A Poincare polynomial is the tuple of its coefficients in the variable
+q, constant term first, as `q_ratio` returns it: entry k is the Betti
+number in (real) degree 2k, since all spaces modeled here have
+cohomology in even degrees only.  A parabolic is the tuple of its
+per-component index tuples: for each simple component, the strictly
+increasing 1-based simple-root indices kept in the Levi.
 """
 
 from __future__ import annotations
@@ -67,63 +70,21 @@ class CartanType:
     def total_rank(self) -> int:
         return sum(n for _, n in self.components)
 
-    def __str__(self) -> str:
-        if not self.components:
-            return "1"
-        return " x ".join(f"{f}{n}" for f, n in self.components)
+
+# per component, the strictly increasing 1-based simple-root indices
+# kept in the Levi
+Parabolic = tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class ParabolicSubset:
-    """Per component, the 1-based simple-root indices kept in the Levi."""
-
-    per_component: tuple[tuple[int, ...], ...]
-
-    @staticmethod
-    def of(subsets) -> "ParabolicSubset":
-        return ParabolicSubset(tuple(tuple(sorted(set(int(i) for i in s))) for s in subsets))
-
-    @property
-    def size(self) -> int:
-        return sum(len(s) for s in self.per_component)
-
-
-def _check_subset(t: CartanType, I: ParabolicSubset) -> None:
-    if len(I.per_component) != len(t.components):
-        raise ValueError(
-            f"{len(I.per_component)} index subsets for {len(t.components)} components"
-        )
-    for (fam, n), sub in zip(t.components, I.per_component):
+def _check_subset(t: CartanType, I: Parabolic) -> None:
+    if len(I) != len(t.components):
+        raise ValueError(f"{len(I)} index subsets for {len(t.components)} components")
+    for (fam, n), sub in zip(t.components, I):
         for i in sub:
             if not (1 <= i <= n):
                 raise ValueError(f"simple-root index {i} out of range for {fam}{n}")
-
-
-@dataclass(frozen=True)
-class PoincarePolynomial:
-    """Generating function of even Betti numbers: ``coeffs[k]``, the
-    coefficient of q**k, is the Betti number in degree 2k."""
-
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not self.coeffs or self.coeffs[0] != 1:
-            raise ValueError("constant term must be one (connected space)")
-        if any(c < 0 for c in self.coeffs):
-            raise ValueError("Betti numbers must be non-negative")
-
-    def betti(self, k: int) -> int:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
-
-    def total(self) -> int:
-        """Euler number of the even-cohomology model, i.e. value at q=1."""
-        return sum(self.coeffs)
-
-    def is_palindromic(self) -> bool:
-        return self.coeffs == self.coeffs[::-1]
-
-    def coefficients(self) -> tuple[int, ...]:
-        return self.coeffs
+        if any(a >= b for a, b in zip(sub, sub[1:])):
+            raise ValueError(f"simple-root indices {list(sub)} are not strictly increasing")
 
 
 def fundamental_degrees(t: CartanType) -> tuple[int, ...]:
@@ -133,10 +94,10 @@ def fundamental_degrees(t: CartanType) -> tuple[int, ...]:
     return tuple(degs)
 
 
-def weyl_poincare(t: CartanType) -> PoincarePolynomial:
+def weyl_poincare(t: CartanType) -> tuple[int, ...]:
     """Length generating function of the Weyl group: the product of the
     q-integers [d]_q = (q**d - 1)/(q - 1) over the fundamental degrees."""
-    return PoincarePolynomial(q_ratio(fundamental_degrees(t), ()))
+    return q_ratio(fundamental_degrees(t), ())
 
 
 # --- Dynkin diagrams -------------------------------------------------------
@@ -218,14 +179,14 @@ def weyl_bfs_order(t: CartanType) -> int:
     return order
 
 
-def levi_components(t: CartanType, I: ParabolicSubset) -> CartanType:
+def levi_components(t: CartanType, I: Parabolic) -> CartanType:
     """Classify the Dynkin subdiagram spanned by the retained simple
     roots into simple components: the runs of retained nodes along the
     spine, with the branch node joined to the run that holds its joint,
     or else an A1 of its own."""
     _check_subset(t, I)
     pieces: list[tuple[str, int]] = []
-    for (fam, n), sub in zip(t.components, I.per_component):
+    for (fam, n), sub in zip(t.components, I):
         spine, branch, joint, bonds, short = _shape(fam, n)
         keep = set(sub)
         runs: list[list[int]] = [[]]
@@ -254,25 +215,29 @@ def levi_components(t: CartanType, I: ParabolicSubset) -> CartanType:
     return CartanType.of(pieces)
 
 
-def _flag_ratio(t: CartanType, levis: Sequence[CartanType]) -> PoincarePolynomial:
+def _flag_ratio(t: CartanType, levis: Sequence[CartanType]) -> tuple[int, ...]:
     """prod_i W(q) / W_(L_i)(q) over the given Levi types, as one ratio of
     q-integers: G's degrees once per Levi over all the Levis' degrees,
-    with the degrees they share cancelled first."""
+    with the degrees they share cancelled first.  A G/P is connected
+    with non-negative Betti numbers, so any other result is a fault."""
     num = Counter(fundamental_degrees(t) * len(levis))
     den = Counter(deg for levi in levis for deg in fundamental_degrees(levi))
-    return PoincarePolynomial(q_ratio((num - den).elements(), (den - num).elements()))
+    poly = q_ratio((num - den).elements(), (den - num).elements())
+    if poly[0] != 1 or min(poly) < 0:
+        raise ArithmeticError("a G/P Poincare polynomial has constant term 1 and no negative entry")
+    return poly
 
 
-def flag_poincare(t: CartanType, I: ParabolicSubset) -> PoincarePolynomial:
+def flag_poincare(t: CartanType, I: Parabolic) -> tuple[int, ...]:
     """Poincare polynomial of G/P: the Weyl polynomial divided exactly
     by the Weyl polynomial of the Levi."""
     return _flag_ratio(t, (levi_components(t, I),))
 
 
-def pic_rank_flag(t: CartanType, I: ParabolicSubset) -> int:
+def pic_rank_flag(t: CartanType, I: Parabolic) -> int:
     """Picard rank of G/P: the number of deleted simple roots."""
     _check_subset(t, I)
-    return t.total_rank - I.size
+    return t.total_rank - sum(map(len, I))
 
 
 @dataclass(frozen=True)
@@ -282,21 +247,21 @@ class KunnethReport:
     type of the i-th parabolic.  Each factor, and their product, is one
     ratio of q-integers over the fundamental degrees."""
 
-    factors: tuple[PoincarePolynomial, ...]
-    product: PoincarePolynomial
+    factors: tuple[tuple[int, ...], ...]
+    product: tuple[int, ...]
     pic_ranks: tuple[int, ...]
     b1: int
     b2: int
     b3: int
     rank_t: int
     assembled_b2: int
-    weyl: PoincarePolynomial
+    weyl: tuple[int, ...]
     levis: tuple[CartanType, ...]
 
 
 def kunneth_report(
     t: CartanType,
-    parabolics: Sequence[ParabolicSubset],
+    parabolics: Sequence[Parabolic],
     pic_rank_qg: int = 1,
     b2_mg: int = 1,
 ) -> KunnethReport:
@@ -318,7 +283,7 @@ def kunneth_report(
     factors = tuple(_flag_ratio(t, (levi,)) for levi in levis)
     product = _flag_ratio(t, levis)
     ranks = tuple(pic_rank_flag(t, I) for I in parabolics)
-    b2 = product.betti(1)
+    b2 = product[1] if len(product) > 1 else 0
     if b2 != sum(ranks):
         raise ArithmeticError("b2 of the product disagrees with the Picard ranks")
     return KunnethReport(

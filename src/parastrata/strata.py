@@ -99,27 +99,45 @@ def margin_tables(mults: Sequence[int], q: int, d: int) -> Iterator[Table]:
     remaining column sums and by what the row still needs.  Because
     sum(mults) = d q, the columns left after any completed rows can
     always be filled (north-west-corner rule), so only a row's last
-    column needs a check: it must absorb the rest of the row.
+    column needs a check: it must absorb the rest of the row.  The fill
+    is depth-first over an explicit stack, one frame per entry, so a
+    table of any size needs no recursion.
     """
     width = len(mults)
     if sum(mults) != d * q:
         raise ValueError(f"multiplicities sum to {sum(mults)}, expected {d} * {q}")
     col_rem = list(mults)
     table = [[0] * width for _ in range(d)]
+    # one frame per entry being filled: [row, column, what the row still
+    # needs, the value placed or to place next, the last value to try]
+    stack = []
 
-    def fill(j: int, k: int, need: int) -> Iterator[Table]:
-        for v in range(need if k == width - 1 else 0, min(col_rem[k], need) + 1):
+    def push(j: int, k: int, need: int) -> None:
+        stack.append([j, k, need, need if k == width - 1 else 0, min(col_rem[k], need)])
+
+    push(0, 0, q)
+    while True:
+        frame = stack[-1]
+        j, k, need, v, last = frame
+        if v <= last:
             table[j][k] = v
             col_rem[k] -= v
             if k < width - 1:
-                yield from fill(j, k + 1, need - v)
-            elif j < d - 1:
-                yield from fill(j + 1, 0, q)
-            else:
-                yield tuple(map(tuple, table))
-            col_rem[k] += v
-
-    yield from fill(0, 0, q)
+                push(j, k + 1, need - v)
+                continue
+            if j < d - 1:
+                push(j + 1, 0, q)
+                continue
+            yield tuple(map(tuple, table))
+        else:
+            stack.pop()
+            if not stack:
+                return
+            frame = stack[-1]
+            k, v = frame[1], frame[3]
+        # take the placed value back and try the next one
+        col_rem[k] += v
+        frame[3] = v + 1
 
 
 def _supports(mat: Table) -> tuple[tuple[int, ...], ...]:

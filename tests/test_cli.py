@@ -229,9 +229,13 @@ def test_flagcoh_subcommand():
     assert res["poincare_F"] == [1, 2, 3, 2, 1]
 
 
-def test_flagcoh_pic_rank_flag_override():
-    report = result_of(["flagcoh", "--pic-rank-qg", "4"], FLAGCOH_EXAMPLE)
+def test_flagcoh_pic_rank_qg_is_a_json_field_only():
+    """The ambient Picard rank is set by the JSON field; there is no
+    command-line option for it."""
+    report = result_of(["flagcoh"], {**FLAGCOH_EXAMPLE, "pic_rank_qg": 4})
     assert report["result"]["t"] == 6
+    code, out, err = run_json(["flagcoh", "--pic-rank-qg", "4"], FLAGCOH_EXAMPLE)
+    assert (code, out, err) == (2, b"", b"error: unknown option '--pic-rank-qg'\n")
 
 
 def test_main_reads_stdin_unless_an_input_path_is_parsed(tmp_path):
@@ -616,6 +620,17 @@ def test_descend_order_is_bounded():
         assert run_json(["descend"], dict(one, order=order)) == (2, b"", message)
     report = result_of(["descend"], dict(one, order=MAX_DESCEND_ORDER))
     assert report["input"]["order"] == MAX_DESCEND_ORDER
+
+
+def test_strata_table_of_many_rows_needs_no_recursion():
+    """A 3000 x 1 table is filled from an explicit stack: one weight of
+    multiplicity 3000 at d = 3000 lists its one table, where a fill that
+    recursed once per entry exited 1 with `RecursionError`."""
+    payload = {"g": 2, "r": 3000, "d": 3000, "points": [{"weights": ["1/2"], "mults": [3000]}]}
+    start = time.perf_counter()
+    result = result_of(["strata"], payload)["result"]
+    assert time.perf_counter() - start < 2
+    assert result["num_indices"] == result["num_systems"] == 1
 
 
 def test_strata_listing_is_bounded(monkeypatch):

@@ -56,6 +56,34 @@ def test_no_floating_point(path):
             assert node.id != "float", f"{path.name}:{node.lineno} uses float"
 
 
+# functions that may call themselves, each with what bounds its depth
+RECURSION_ALLOWED = {
+    "cli._report_json": "one level per level of the report, whose shape each subcommand fixes",
+    "cli._parse_new": "a tuple of coefficient strings recurses once, on each string",
+}
+
+
+def test_no_function_calls_itself():
+    """No function in the library, nested ones included, calls its own
+    bare name, outside `RECURSION_ALLOWED`: a depth that grows with the
+    input ends in `RecursionError`, an exit 1.  Two such routes were
+    found, a table count and a table fill, each recursing once per
+    table entry."""
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(parsed(path)):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            calls = [
+                call.lineno
+                for call in ast.walk(node)
+                if isinstance(call, ast.Call) and isinstance(call.func, ast.Name) and call.func.id == node.name
+            ]
+            if calls and f"{path.stem}.{node.name}" not in RECURSION_ALLOWED:
+                found.append(f"{path.name}:{calls[0]} {node.name}")
+    assert found == []
+
+
 def test_benchmark_tracer_installs():
     """The benchmark's tracer wraps library functions and methods by
     name; renaming one of them must fail here, not only in a traced run."""
