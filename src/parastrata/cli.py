@@ -121,7 +121,7 @@ def frac_str(f: Fraction) -> str:
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
-def parse_point(doc, path: str) -> pb.PointWeights:
+def parse_point(doc, path: str, rank: int) -> pb.PointWeights:
     doc = expect_object(doc, path)
     expect_keys(doc, path, ("weights", "mults"))
     ws = expect_array(doc["weights"], f"{path}.weights")
@@ -133,13 +133,9 @@ def parse_point(doc, path: str) -> pb.PointWeights:
     weights = [parse_fraction(w, f"{path}.weights[{i}]") for i, w in enumerate(ws)]
     mults = [expect_int(m, f"{path}.mults[{i}]", minimum=1) for i, m in enumerate(ms)]
     try:
-        return pb.PointWeights.of(weights, mults)
+        pw = pb.PointWeights.of(weights, mults)
     except ValueError as exc:
         raise ValidationError(path, str(exc)) from exc
-
-
-def parse_ranked_point(doc, path: str, rank: int) -> pb.PointWeights:
-    pw = parse_point(doc, path)
     if pw.total_multiplicity() != rank:
         raise ValidationError(
             f"{path}.mults", f"multiplicities sum to {pw.total_multiplicity()}, expected rank {rank}"
@@ -149,7 +145,7 @@ def parse_ranked_point(doc, path: str, rank: int) -> pb.PointWeights:
 
 def parse_point_list(doc, path: str, rank: int) -> dict[str, pb.PointWeights]:
     arr = expect_array(doc, path)
-    return {f"p{i + 1}": parse_ranked_point(entry, f"{path}[{i}]", rank) for i, entry in enumerate(arr)}
+    return {f"p{i + 1}": parse_point(entry, f"{path}[{i}]", rank) for i, entry in enumerate(arr)}
 
 
 def echo_point(pw: pb.PointWeights) -> dict:
@@ -573,7 +569,7 @@ def cmd_pushforward(payload) -> tuple[dict, dict]:
     rank = expect_int(ddoc["rank"], "$.datum.rank", minimum=1)
     deg = expect_int(ddoc["degree"], "$.datum.degree")
     pdoc = expect_object(ddoc["points"], "$.datum.points")
-    points = {pid: parse_ranked_point(pnt, f"$.datum.points.{pid}", rank) for pid, pnt in pdoc.items()}
+    points = {pid: parse_point(pnt, f"$.datum.points.{pid}", rank) for pid, pnt in pdoc.items()}
     try:
         datum = pb.ParabolicDatum.of(rank, deg, points)
         pushed = cover_mod.pushforward(cov, datum)

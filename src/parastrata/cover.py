@@ -76,10 +76,10 @@ def pushforward_point(fiber_data: Sequence[PointWeights]) -> PointWeights:
     """
     merged: Counter = Counter()
     for pw in fiber_data:
-        merged.update(dict(pw.entries))
+        merged.update(dict(zip(pw.weights, pw.multiplicities)))
     if not merged:
         raise ValueError("no fiber point carries data")
-    return PointWeights(tuple(sorted(merged.items())))
+    return PointWeights(*zip(*sorted(merged.items())))
 
 
 def _check_point_sets(c: CoverSpec, f: ParabolicDatum) -> None:

@@ -27,7 +27,7 @@ from .exact import (
     rref,
     to_fraction,
 )
-from .parabolic import PointWeights
+from .parabolic import PointWeights, check_weights
 
 Vector = tuple
 
@@ -93,13 +93,7 @@ class WeightedFlag:
             raise ValueError("a flag needs at least one subspace")
         if len(weights) != len(subspaces):
             raise ValueError("one weight per subspace is required")
-        prev_w = None
-        for w in weights:
-            if not (0 <= w < 1):
-                raise ValueError(f"weight {w} outside [0, 1)")
-            if prev_w is not None and w <= prev_w:
-                raise ValueError("weights must be strictly increasing")
-            prev_w = w
+        check_weights(weights)
         field = subspaces[0].field
         n = subspaces[0].cols
         for sub in subspaces:

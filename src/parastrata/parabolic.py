@@ -3,74 +3,75 @@ parabolic degree and slope, and the genericity wall test.
 
 A weight system attaches to each marked point a strictly increasing
 sequence of rational weights in [0, 1), each carrying a positive
-multiplicity; the multiplicities at every point sum to the rank.
+multiplicity; the multiplicities at every point sum to the rank.  A
+point's system is stored as these two columns, and `check_weights` is
+the one check of a weight sequence, shared with `eigenflag`'s flags.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
 from .exact import to_fraction
 
 
+def check_weights(weights) -> None:
+    """Check a weight sequence: Fractions, strictly increasing inside [0, 1)."""
+    prev = None
+    for w in weights:
+        if not isinstance(w, Fraction):
+            raise TypeError(f"weight must be a Fraction, got {w!r}")
+        if not (0 <= w < 1):
+            raise ValueError(f"weight {w} outside [0, 1)")
+        if prev is not None and w <= prev:
+            raise ValueError("weights must be strictly increasing")
+        prev = w
+
+
 @dataclass(frozen=True)
 class PointWeights:
     """Weighted multiplicities at a single marked point.
 
-    ``entries`` is a tuple of (weight, multiplicity) pairs with the
-    weights strictly increasing inside [0, 1) and every multiplicity a
-    positive integer.  ``weights`` and ``multiplicities`` are its two
-    columns, stored once and left out of ``repr``, ``==`` and ``hash``.
+    ``weights`` are strictly increasing inside [0, 1) and
+    ``multiplicities`` holds a positive integer for each of them.
     """
 
-    entries: tuple[tuple[Fraction, int], ...]
-    weights: tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
-    multiplicities: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    weights: tuple[Fraction, ...]
+    multiplicities: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not self.entries:
+        if len(self.weights) != len(self.multiplicities):
+            raise ValueError("weights and multiplicities differ in length")
+        if not self.weights:
             raise ValueError("at least one weight is required")
-        prev = None
-        for w, m in self.entries:
-            if not isinstance(w, Fraction):
-                raise TypeError(f"weight must be a Fraction, got {w!r}")
-            if not (0 <= w < 1):
-                raise ValueError(f"weight {w} outside [0, 1)")
+        check_weights(self.weights)
+        for m in self.multiplicities:
             if not isinstance(m, int) or isinstance(m, bool) or m < 1:
                 raise ValueError(f"multiplicity must be a positive integer, got {m!r}")
-            if prev is not None and w <= prev:
-                raise ValueError("weights must be strictly increasing")
-            prev = w
-        object.__setattr__(self, "weights", tuple(w for w, _ in self.entries))
-        object.__setattr__(self, "multiplicities", tuple(m for _, m in self.entries))
 
     @staticmethod
     def of(weights, mults) -> "PointWeights":
-        ws = [to_fraction(w) for w in weights]
-        ms = list(mults)
-        if len(ws) != len(ms):
-            raise ValueError("weights and multiplicities differ in length")
-        return PointWeights(tuple(zip(ws, ms)))
+        return PointWeights(tuple(map(to_fraction, weights)), tuple(mults))
 
     @property
     def length(self) -> int:
-        return len(self.entries)
+        return len(self.weights)
 
     def total_multiplicity(self) -> int:
-        return sum(m for _, m in self.entries)
+        return sum(self.multiplicities)
 
     def weighted_sum(self) -> Fraction:
-        return sum((m * w for w, m in self.entries), Fraction(0))
+        return sum((m * w for w, m in zip(self.weights, self.multiplicities)), Fraction(0))
 
     def dimension_profile(self) -> tuple[int, ...]:
         """Dimensions of the flag steps: entry i is the sum of the
         multiplicities from position i on."""
         out = []
         acc = 0
-        for _, m in reversed(self.entries):
+        for m in reversed(self.multiplicities):
             acc += m
             out.append(acc)
         return tuple(reversed(out))
@@ -171,7 +172,7 @@ def genericity_witness(d: ParabolicDatum) -> GenericityWitness | None:
         for combo in itertools.product(*per_point):
             wsum = Fraction(0)
             for (_, pw), vec in zip(d.points, combo):
-                for (w, _), n in zip(pw.entries, vec):
+                for w, n in zip(pw.weights, vec):
                     if n:
                         wsum += n * w
             e_sub = sub_rank * slope - wsum

@@ -207,10 +207,10 @@ def matrix_to_multiplicity_system(
     for row in mat:
         if len(row) != weights.length:
             raise ValueError("matrix width does not match the number of weights")
-        kept = [(weights.weights[k], v) for k, v in enumerate(row) if v]
+        kept = [(w, v) for w, v in zip(weights.weights, row) if v]
         if not kept:
             raise ValueError("matrix row without positive entries")
-        out.append(PointWeights(tuple(kept)))
+        out.append(PointWeights(*zip(*kept)))
     return tuple(out)
 
 

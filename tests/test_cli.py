@@ -1,8 +1,11 @@
+import copy
+import functools
 import hashlib
 import itertools
 import json
 import math
 import random
+import signal
 import time
 import tracemalloc
 from fractions import Fraction
@@ -593,6 +596,92 @@ def test_validation_failures_exit_two_with_clean_stdout():
         assert code == 2, (argv, payload, err)
         assert out == b""
         assert err.startswith(b"error: ")
+
+
+FUZZ_VALUES = [*range(-3, 13), "1/2", "3/2", "1/0", "x", 0.5, None, True, [], {}]
+FUZZ_MUTATIONS = ["replace", "delete", "add", "wrap", "duplicate"]
+
+
+@functools.cache
+def seed_requests():
+    """The first timed round of seed 0 of each benchmark workload, as
+    lists of (argv, JSON text) pairs."""
+    with pytest.MonkeyPatch.context() as mp:
+        gen = benchmark_gen(mp)
+        return [
+            [(req.argv, json.dumps(req.payload)) for req in next(gen.streams(workload, 0)[0])]
+            for workload in ("sweep", "descend", "requests")
+        ]
+
+
+def json_nodes(tree):
+    """Every (parent, key, value) of a JSON tree, the root first with
+    parent and key None."""
+    found, stack = [], [(None, None, tree)]
+    while stack:
+        parent, key, value = stack.pop()
+        found.append((parent, key, value))
+        if isinstance(value, dict):
+            stack.extend((value, k, v) for k, v in value.items())
+        elif isinstance(value, list):
+            stack.extend((value, i, v) for i, v in enumerate(value))
+    return found
+
+
+def mutate(data, payload):
+    """Apply one drawn mutation to a JSON tree in place, if some node
+    admits it."""
+    kind = data.draw(hs.sampled_from(FUZZ_MUTATIONS))
+    nodes = json_nodes(payload)
+    if kind == "add":
+        nodes = [node for node in nodes if isinstance(node[2], dict)]
+    elif kind == "duplicate":
+        nodes = [node for node in nodes if isinstance(node[2], list) and node[2]]
+    elif kind == "delete":
+        nodes = [node for node in nodes if isinstance(node[0], dict)]
+    else:
+        nodes = nodes[1:]  # all but the root
+    if not nodes:
+        return
+    parent, key, value = data.draw(hs.sampled_from(nodes))
+    if kind == "add":
+        value["unknown"] = 1
+    elif kind == "duplicate":
+        i = data.draw(hs.integers(0, len(value) - 1))
+        value.insert(i, copy.deepcopy(value[i]))
+    elif kind == "delete":
+        del parent[key]
+    elif kind == "wrap":
+        parent[key] = [value]
+    else:
+        parent[key] = copy.deepcopy(data.draw(hs.sampled_from(FUZZ_VALUES)))
+
+
+def too_slow(signum, frame):
+    pytest.fail("a request ran for more than 2 s")
+
+
+@settings(max_examples=300, deadline=None)
+@given(hs.data())
+def test_mutated_benchmark_payloads_keep_the_exit_contract(data):
+    """A benchmark payload with one to three mutations (a value replaced,
+    a key deleted or added, a value wrapped in a list, a list entry
+    duplicated) is either a report or a validation error: exit 0 with an
+    empty stderr or exit 2 with an empty stdout, never an internal
+    fault, and within 2 s."""
+    argv, text = data.draw(hs.sampled_from(data.draw(hs.sampled_from(seed_requests()))))
+    payload = json.loads(text)
+    for _ in range(data.draw(hs.integers(1, 3))):
+        mutate(data, payload)
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.setitimer(signal.ITIMER_REAL, 2)
+    try:
+        code, out, err = run_json(argv, payload)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code in (0, 2), err
+    assert out == b"" if code == 2 else err == b""
 
 
 def test_descend_error_messages_are_exact():

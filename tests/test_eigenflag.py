@@ -11,6 +11,7 @@ from parastrata import (
     ExactMatrix,
     FlagAutomorphism,
     ParabolicDatum,
+    PointWeights,
     WeightedFlag,
     charpoly,
     check_parabolic_morphism,
@@ -120,6 +121,25 @@ def test_weighted_flag_rejects_float_weights():
     with pytest.raises(TypeError):
         WeightedFlag.of(1, [[[1]]], [0.3])
     assert WeightedFlag.of(1, [[[1]]], ["3/10"]).weights == (Fraction(3, 10),)
+
+
+@pytest.mark.parametrize(
+    "weights, message",
+    [
+        (["1/4", "1"], "weight 1 outside [0, 1)"),
+        (["1/2", "1/2"], "weights must be strictly increasing"),
+        (["1/2", "1/4"], "weights must be strictly increasing"),
+    ],
+    ids=["out-of-range", "repeated", "decreasing"],
+)
+def test_point_weights_and_flag_share_the_weight_check(weights, message):
+    """A point's weights and a flag's weights are checked by one check,
+    so both reject the same bad sequences with the same message."""
+    with pytest.raises(ValueError) as point_err:
+        PointWeights.of(weights, [1, 1])
+    with pytest.raises(ValueError) as flag_err:
+        WeightedFlag.of(1, [[[1, 0], [0, 1]], [[1, 0]]], weights)
+    assert str(point_err.value) == str(flag_err.value) == message
 
 
 def preserves_flag(phi, subspaces):
@@ -406,8 +426,8 @@ def test_descend_swap_example():
     assert table == ((1, 0), (0, 1))
     assert row_sums_are_nullities(table, phi)
     q1, q2 = descended_fibers(table, swap_flag())
-    assert q1.entries == ((Fraction(1, 4), 1),)
-    assert q2.entries == ((Fraction(1, 2), 1),)
+    assert (q1.weights, q1.multiplicities) == ((Fraction(1, 4),), (1,))
+    assert (q2.weights, q2.multiplicities) == ((Fraction(1, 2),), (1,))
     assert fixed_point_shape(table)
 
 
@@ -636,4 +656,5 @@ def test_descend_counts_match_nested_eigenbasis():
         assert table == rows
         assert tuple(map(sum, table)) == dims
         assert row_sums_are_nullities(table, phi)
-        assert [list(pw.entries) for pw in descended_fibers(table, flag)] == [f for f in fibers if f]
+        descended = descended_fibers(table, flag)
+        assert [list(zip(pw.weights, pw.multiplicities)) for pw in descended] == [f for f in fibers if f]

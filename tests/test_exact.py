@@ -170,6 +170,20 @@ def test_inverse_of_one_plus_zeta3():
     assert a * inv == 1
 
 
+def test_number_divided_by_element():
+    z = cyclotomic_field(5).zeta()
+    assert 1 / z == z.inverse()
+    assert (2 / z) * z == 2
+    with pytest.raises(TypeError):
+        "x" / z
+
+
+def test_field_and_matrix_reprs():
+    assert repr(cyclotomic_field(5)) == "QQ(zeta_5)"
+    m = ExactMatrix.from_rows(cyclotomic_field(1), [[1, 0], [0, Fraction(1, 2)]])
+    assert repr(m) == "ExactMatrix(2x2 over QQ(zeta_1): 1, 0; 0, 1/2)"
+
+
 def test_additive_identity():
     f = cyclotomic_field(5)
     a = f.element([Fraction(2, 3), Fraction(-1), Fraction(0), Fraction(4)])

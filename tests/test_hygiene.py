@@ -1,5 +1,6 @@
 """Source hygiene of the library: no runtime dependencies beyond the
-standard library, and no floating point.  The benchmark's seed-0
+standard library, no floating point, and no value storing a second
+copy of what it was built from.  The benchmark's seed-0
 outputs are also reproduced here, byte for byte, README's Python tour
 is run against the results it documents, and the names in README's
 layout table are resolved in their modules."""
@@ -81,6 +82,43 @@ def test_no_function_calls_itself():
             ]
             if calls and f"{path.stem}.{node.name}" not in RECURSION_ALLOWED:
                 found.append(f"{path.name}:{calls[0]} {node.name}")
+    assert found == []
+
+
+# classes that may store a second copy of what they are built from,
+# each with the reason
+STORED_ONCE_ALLOWED: dict[str, str] = {}
+
+
+def stores_a_copy(call):
+    """A dataclass `field(..., init=False, ...)` or an
+    `object.__setattr__` call: a value setting what it was not given."""
+    func = call.func
+    if isinstance(func, ast.Attribute) and func.attr == "__setattr__":
+        return isinstance(func.value, ast.Name) and func.value.id == "object"
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    return name == "field" and any(
+        k.arg == "init" and isinstance(k.value, ast.Constant) and k.value.value is False for k in call.keywords
+    )
+
+
+def test_values_store_what_they_are_built_from_once():
+    """No library value keeps a second copy of what it was built from,
+    outside `STORED_ONCE_ALLOWED`: a derived field set after `__init__`
+    is one more thing to keep equal to its source, and one more check
+    of the same input."""
+    found = []
+    for path in SOURCES:
+        tree = parsed(path)
+        # ast.walk meets outer classes first, so a nested class names its own calls
+        owner = {
+            child: node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef) for child in ast.walk(node)
+        }
+        for call in ast.walk(tree):
+            if isinstance(call, ast.Call) and stores_a_copy(call):
+                where = ".".join([path.stem, *filter(None, [owner.get(call)])])
+                if where not in STORED_ONCE_ALLOWED:
+                    found.append(f"{path.name}:{call.lineno} {where}")
     assert found == []
 
 

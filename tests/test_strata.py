@@ -165,8 +165,8 @@ def test_matrix_enumeration_is_deterministic_row_major():
 def test_system_from_permutation_matrix():
     mat = ((1, 0), (0, 1))
     sysd = matrix_to_multiplicity_system(mat, PW2)
-    assert sysd[0].entries == ((Fraction(1, 4), 1),)
-    assert sysd[1].entries == ((Fraction(1, 2), 1),)
+    assert (sysd[0].weights, sysd[0].multiplicities) == ((Fraction(1, 4),), (1,))
+    assert (sysd[1].weights, sysd[1].multiplicities) == ((Fraction(1, 2),), (1,))
 
 
 def test_system_from_full_matrix():
